@@ -4,7 +4,7 @@
 //! same deterministic profiled workload run with the layer off (baseline)
 //! and on (observed), best-of-N each, and reporting the relative overhead.
 //! The design target is < 5%: the observed path pays one local integer bump
-//! per event inside the VM's `ObsSink` and touches the shared atomics only
+//! per event inside the VM's `ObsTool` and touches the shared atomics only
 //! at coarse boundaries (every 4096 basic blocks, per shadow allocation,
 //! once at profiler finish).
 

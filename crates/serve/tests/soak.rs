@@ -14,12 +14,12 @@
 use aprof_core::{ProfileReport, TrmsProfiler};
 use aprof_corpus::{CaseSpec, GenConfig};
 use aprof_faults::FaultConfig;
-use aprof_serve::{client, ServeConfig, Server, Target};
+use aprof_serve::{client, ServeConfig, ServeError, Server, Target};
 use aprof_trace::NullTool;
 use aprof_wire::{WireOptions, WireReader, WireWriter};
 use std::io::Write;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn soak_cases() -> usize {
     std::env::var("APROF_SOAK_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(6)
@@ -62,14 +62,27 @@ fn replay(bytes: &[u8]) -> ProfileReport {
 /// an error or dropped connection — so a real client would retry, and so
 /// does this one. A `duplicate` ack means a previous attempt committed
 /// right before its connection died; that still counts as acked.
-fn submit_with_retries(target: &Target, tenant: &str, stream: &str, trace: &[u8]) {
-    for _ in 0..60 {
+///
+/// The torn streams and worker panics count as tenant failures, so they can
+/// trip the tenant's breaker. A `quarantined` refusal therefore waits out
+/// the breaker `cooldown` before the next attempt, and the loop is bounded
+/// by a deadline rather than an attempt count.
+fn submit_with_retries(
+    target: &Target,
+    tenant: &str,
+    stream: &str,
+    trace: &[u8],
+    cooldown: Duration,
+) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while Instant::now() < deadline {
         match client::submit(target, tenant, stream, &mut &trace[..]) {
             Ok(_ack) => return,
+            Err(ServeError::Quarantined) => std::thread::sleep(cooldown),
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
-    panic!("stream {tenant}/{stream} never got acknowledged in 60 attempts");
+    panic!("stream {tenant}/{stream} never got acknowledged within 60 s");
 }
 
 /// Queries retry too: the fault plan panics workers on *any* connection,
@@ -135,12 +148,13 @@ fn soak_faulted_daemon_loses_no_acked_data() {
 
     // Concurrent submissions with injected client-side aborts, while a
     // poller keeps hitting the live endpoints mid-soak.
+    let cooldown = cfg.breaker.cooldown;
     std::thread::scope(|scope| {
         for (tenant, stream, bytes) in &traces {
             let target = target.clone();
             scope.spawn(move || {
                 abort_mid_stream(&target, tenant, &format!("{stream}-torn"), bytes);
-                submit_with_retries(&target, tenant, stream, bytes);
+                submit_with_retries(&target, tenant, stream, bytes, cooldown);
             });
         }
         let target = target.clone();

@@ -1,13 +1,11 @@
 //! Pre-decoded opcode streams for the direct-threaded interpreter.
 //!
-//! The interpreter's original hot loop re-resolved the current function,
-//! block and instruction on every step and dispatched through a 18-arm
-//! `match` on [`Instr`]. This module flattens each basic block into a
-//! contiguous array of fixed-size [`DecodedOp`]s — operands pre-extracted,
-//! opcode reduced to a dense table index — which `machine.rs` drives
-//! through a function-pointer handler table (see `Tbl` there), one handler
-//! per opcode, plus *superinstruction* handlers for the statically fused
-//! hot pairs listed in [`fuse_code`].
+//! This module flattens each basic block into a contiguous array of
+//! fixed-size [`DecodedOp`]s — operands pre-extracted, opcode reduced to a
+//! dense table index — which `machine.rs` drives through a
+//! function-pointer handler table (see `Tbl` there), one handler per
+//! opcode, plus *superinstruction* handlers for the statically fused hot
+//! pairs listed in [`fuse_code`].
 //!
 //! Invariants the interpreter relies on:
 //!
@@ -24,10 +22,9 @@
 //!   own instruction-budget charge, so traces, profiles and resource traps
 //!   are bit-identical with and without fusion.
 //! * Complex opcodes (calls, threading, I/O, allocation) decode to
-//!   [`C_COMPLEX`] and take the original `Instr` interpretation path.
+//!   [`C_COMPLEX`] and take the `match`-based `Exec::instr` path.
 
 use crate::ir::{BinOp, CmpOp, Instr, Program};
-use std::collections::HashMap;
 
 /// Dense opcode: register-file constant load.
 pub(crate) const C_CONST: u8 = 0;
@@ -56,9 +53,9 @@ pub(crate) const C_FUSE_CONST_CGT: u8 = N_PLAIN + 4;
 /// Total handler-table size (plain + fused opcodes).
 pub(crate) const N_CODES: usize = N_PLAIN as usize + 5;
 
-/// Escape opcode: interpret `block.instrs[idx]` through the original
-/// `match`-based path (anything that can block, spawn, allocate or touch
-/// devices). Deliberately *not* a table index.
+/// Escape opcode: interpret `block.instrs[idx]` through the `match`-based
+/// `Exec::instr` path (anything that can block, call, spawn, allocate or
+/// touch devices). Deliberately *not* a table index.
 pub(crate) const C_COMPLEX: u8 = 0xFF;
 
 /// One pre-decoded instruction slot: a dense opcode plus pre-extracted
@@ -91,13 +88,9 @@ impl DecodedOp {
 pub(crate) enum DecodeMode {
     /// Dense opcodes with superinstruction fusion — the production path.
     Fused,
-    /// Dense opcodes, no fusion. Used while taking a pair census (fusion
-    /// would hide exactly the pairs being counted).
+    /// Dense opcodes, no fusion. Used under `strict_regs`, whose checked
+    /// run is the unfused reference that fusion is tested against.
     Plain,
-    /// Everything decodes to [`C_COMPLEX`]: the original interpretation
-    /// path. Used under `strict_regs`, whose per-operand use-before-def
-    /// checks live only there.
-    Original,
 }
 
 /// A program flattened into per-block [`DecodedOp`] arrays, indexed
@@ -126,10 +119,7 @@ impl DecodedProgram {
 }
 
 fn decode_block(instrs: &[Instr], mode: DecodeMode) -> Box<[DecodedOp]> {
-    let mut ops: Vec<DecodedOp> = instrs
-        .iter()
-        .map(|i| if mode == DecodeMode::Original { DecodedOp::complex() } else { decode(i) })
-        .collect();
+    let mut ops: Vec<DecodedOp> = instrs.iter().map(decode).collect();
     if mode == DecodeMode::Fused {
         let mut i = 0;
         while i + 1 < ops.len() {
@@ -186,7 +176,7 @@ fn decode(instr: &Instr) -> DecodedOp {
             op.imm = *offset;
         }
         // Everything that can block, yield, spawn, allocate, call or touch
-        // devices interprets through the original path.
+        // devices interprets through `Exec::instr`.
         _ => {}
     }
     op
@@ -224,8 +214,8 @@ fn cmp_index(op: CmpOp) -> u8 {
 /// its fused opcode.
 ///
 /// Chosen from a dynamic pair census over all 31 bundled workloads at
-/// size 48 / 2 threads (`APROF_VM_PAIR_CENSUS=1`, see [`PairCensus`];
-/// ~405k adjacent simple-op pairs total): const→const 16.7%,
+/// size 48 / 2 threads (~405k adjacent simple-op pairs total, `DESIGN.md`
+/// §14.1): const→const 16.7%,
 /// add→load 12.6%, add→add 10.9%, const→add 8.4%, const→cgt 8.1% —
 /// together 56.7% of all dynamically executed simple-op pairs. Only
 /// non-blocking register/memory ops appear here — see the module invariants.
@@ -239,68 +229,6 @@ fn fuse_code(c1: u8, c2: u8) -> Option<u8> {
         (C_CONST, ADD) => Some(C_FUSE_CONST_ADD),
         (C_CONST, CGT) => Some(C_FUSE_CONST_CGT),
         _ => None,
-    }
-}
-
-/// Human-readable opcode name (census reports).
-pub(crate) fn code_name(code: u8) -> &'static str {
-    const BIN: [&str; 12] = [
-        "add", "sub", "mul", "div", "rem", "and", "or", "xor", "shl", "shr", "min", "max",
-    ];
-    const CMP: [&str; 6] = ["ceq", "cne", "clt", "cle", "cgt", "cge"];
-    match code {
-        C_CONST => "const",
-        C_MOV => "mov",
-        C_LOAD => "load",
-        C_STORE => "store",
-        C_COMPLEX => "complex",
-        c if (C_BIN0..C_CMP0).contains(&c) => BIN[(c - C_BIN0) as usize],
-        c if (C_CMP0..N_PLAIN).contains(&c) => CMP[(c - C_CMP0) as usize],
-        _ => "fused",
-    }
-}
-
-/// Dynamic census of consecutive simple-op pairs, the evidence behind the
-/// [`fuse_code`] selection. Enabled by setting `APROF_VM_PAIR_CENSUS` in
-/// the environment: the machine then decodes without fusion, counts every
-/// adjacent pair of simple opcodes it executes, and prints the ranking to
-/// stderr when the run ends.
-#[derive(Debug, Default)]
-pub(crate) struct PairCensus {
-    counts: HashMap<(u8, u8), u64>,
-    total: u64,
-}
-
-impl PairCensus {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one executed adjacent pair.
-    #[inline]
-    pub(crate) fn record(&mut self, prev: u8, cur: u8) {
-        *self.counts.entry((prev, cur)).or_insert(0) += 1;
-        self.total += 1;
-    }
-
-    /// Renders the ranking, hottest pair first, with cumulative shares.
-    pub(crate) fn report(&self) -> String {
-        let mut pairs: Vec<(&(u8, u8), &u64)> = self.counts.iter().collect();
-        pairs.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
-        let mut out = format!("vm pair census: {} adjacent simple-op pairs\n", self.total);
-        let mut cum = 0u64;
-        for (&(a, b), &n) in pairs.into_iter().take(20) {
-            cum += n;
-            out.push_str(&format!(
-                "  {:>6} -> {:<6} {:>12}  ({:5.1}% cum {:5.1}%)\n",
-                code_name(a),
-                code_name(b),
-                n,
-                n as f64 / self.total.max(1) as f64 * 100.0,
-                cum as f64 / self.total.max(1) as f64 * 100.0,
-            ));
-        }
-        out
     }
 }
 
@@ -324,15 +252,13 @@ mod tests {
              }",
         )
         .unwrap();
-        for mode in [DecodeMode::Fused, DecodeMode::Plain, DecodeMode::Original] {
+        for mode in [DecodeMode::Fused, DecodeMode::Plain] {
             let dp = DecodedProgram::build(&program, mode);
             assert_eq!(dp.block(0, 0).len(), 6, "{mode:?} keeps 1:1 slots");
         }
-        let original = DecodedProgram::build(&program, DecodeMode::Original);
-        assert!(original.block(0, 0).iter().all(|op| op.code == C_COMPLEX));
         let plain = DecodedProgram::build(&program, DecodeMode::Plain);
         assert_eq!(plain.block(0, 0)[0].code, C_CONST);
-        assert_eq!(plain.block(0, 0)[2].code, C_COMPLEX, "alloc stays on the original path");
+        assert_eq!(plain.block(0, 0)[2].code, C_COMPLEX, "alloc escapes to Exec::instr");
         assert_eq!(plain.block(0, 0)[3].code, C_STORE);
         assert!(plain.block(0, 0).iter().all(|op| op.adv == 1));
     }
@@ -387,18 +313,5 @@ mod tests {
         assert_eq!(ops[3].code, C_BIN0);
         assert_eq!(ops[4].code, C_BIN0);
         assert_eq!(ops[4].adv, 1);
-    }
-
-    #[test]
-    fn census_report_ranks_pairs() {
-        let mut census = PairCensus::new();
-        for _ in 0..3 {
-            census.record(C_BIN0, C_CMP0 + 2);
-        }
-        census.record(C_LOAD, C_BIN0);
-        let report = census.report();
-        let add_clt = report.find("add -> clt").expect("hottest pair listed");
-        let load_add = report.find("load -> add").expect("second pair listed");
-        assert!(add_clt < load_add, "sorted by count:\n{report}");
     }
 }

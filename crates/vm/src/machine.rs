@@ -2,22 +2,20 @@
 //!
 //! The hot loop is **direct-threaded**: guest blocks are pre-decoded into
 //! flat [`DecodedOp`] arrays (see [`crate::dispatch`]) and executed through
-//! a function-pointer handler table ([`Tbl`]), monomorphized per event
-//! [`Sink`]. Anything that can block, spawn, allocate or touch devices
-//! escapes to the original `match`-based [`Exec::instr`] path, which keeps
-//! the blocking/waker protocol in one place.
+//! a function-pointer handler table ([`Tbl`]), monomorphized per [`Tool`]
+//! type and per register-checking mode. The table handlers are the only
+//! implementation of const, mov, bin, cmp, load and store. Anything that can
+//! block, call, spawn, allocate or touch devices escapes to the
+//! `match`-based [`Exec::instr`] path, which keeps the blocking/waker
+//! protocol in one place.
 
 use crate::device::DeviceTable;
-use crate::dispatch::{
-    DecodeMode, DecodedOp, DecodedProgram, PairCensus, C_COMPLEX, N_CODES,
-};
+use crate::dispatch::{DecodeMode, DecodedOp, DecodedProgram, C_COMPLEX, N_CODES};
 use crate::error::{ResourceKind, VmError};
 use crate::ir::{BinOp, CmpOp, FuncId, Instr, Program, Reg, Terminator};
 use crate::memory::GuestMemory;
-use aprof_trace::{Addr, Event, RoutineId, ThreadId, Tool};
-use aprof_wire::WireWriter;
+use aprof_trace::{Addr, NullTool, RoutineId, ThreadId, Tool};
 use std::collections::{HashMap, VecDeque};
-use std::io::Write;
 
 /// Tunables of a [`Machine`].
 #[derive(Debug, Clone, Copy)]
@@ -131,164 +129,92 @@ pub struct ThreadOutcome {
     pub result: Option<i64>,
 }
 
-/// Internal event sink; monomorphized away for the native path, forwarding
-/// through dynamic dispatch for the instrumented path (so even a do-nothing
-/// tool pays the same dispatch cost `nulgrind` pays under Valgrind).
-trait Sink {
-    fn thread_start(&mut self, _t: ThreadId) {}
-    fn thread_exit(&mut self, _t: ThreadId) {}
-    fn thread_switch(&mut self, _t: ThreadId) {}
-    fn basic_block(&mut self, _t: ThreadId, _cost: u64) {}
-    fn call(&mut self, _t: ThreadId, _r: RoutineId) {}
-    fn ret(&mut self, _t: ThreadId, _r: RoutineId) {}
-    fn read(&mut self, _t: ThreadId, _a: Addr) {}
-    fn write(&mut self, _t: ThreadId, _a: Addr) {}
-    fn kernel_read(&mut self, _t: ThreadId, _a: Addr) {}
-    fn kernel_write(&mut self, _t: ThreadId, _a: Addr) {}
-    fn spawned(&mut self, _parent: ThreadId, _child: ThreadId) {}
-    fn joined(&mut self, _t: ThreadId, _target: ThreadId) {}
-    fn lock_acquired(&mut self, _t: ThreadId, _lock: i64) {}
-    fn lock_released(&mut self, _t: ThreadId, _lock: i64) {}
-    fn sem_posted(&mut self, _t: ThreadId, _sem: i64) {}
-    fn sem_waited(&mut self, _t: ThreadId, _sem: i64) {}
-}
-
-/// The uninstrumented ("native") sink.
-struct NoSink;
-impl Sink for NoSink {}
-
-/// Adapter delivering events to a [`Tool`] through dynamic dispatch.
-struct ToolSink<'a>(&'a mut dyn Tool);
-
-impl Sink for ToolSink<'_> {
-    fn thread_start(&mut self, t: ThreadId) {
-        self.0.thread_start(t);
-    }
-    fn thread_exit(&mut self, t: ThreadId) {
-        self.0.thread_exit(t);
-    }
-    fn thread_switch(&mut self, t: ThreadId) {
-        self.0.thread_switch(t);
-    }
-    fn basic_block(&mut self, t: ThreadId, cost: u64) {
-        self.0.basic_block(t, cost);
-    }
-    fn call(&mut self, t: ThreadId, r: RoutineId) {
-        self.0.call(t, r);
-    }
-    fn ret(&mut self, t: ThreadId, r: RoutineId) {
-        self.0.ret(t, r);
-    }
-    fn read(&mut self, t: ThreadId, a: Addr) {
-        self.0.read(t, a);
-    }
-    fn write(&mut self, t: ThreadId, a: Addr) {
-        self.0.write(t, a);
-    }
-    fn kernel_read(&mut self, t: ThreadId, a: Addr) {
-        self.0.kernel_read(t, a);
-    }
-    fn kernel_write(&mut self, t: ThreadId, a: Addr) {
-        self.0.kernel_write(t, a);
-    }
-    fn spawned(&mut self, parent: ThreadId, child: ThreadId) {
-        self.0.spawned(parent, child);
-    }
-    fn joined(&mut self, t: ThreadId, target: ThreadId) {
-        self.0.joined(t, target);
-    }
-    fn lock_acquired(&mut self, t: ThreadId, lock: i64) {
-        self.0.lock_acquired(t, lock);
-    }
-    fn lock_released(&mut self, t: ThreadId, lock: i64) {
-        self.0.lock_released(t, lock);
-    }
-    fn sem_posted(&mut self, t: ThreadId, sem: i64) {
-        self.0.sem_posted(t, sem);
-    }
-    fn sem_waited(&mut self, t: ThreadId, sem: i64) {
-        self.0.sem_waited(t, sem);
-    }
-}
-
-/// Adapter that tees the event stream: every event goes to the tool (live
-/// profiling) *and* into a wire-trace writer (streaming capture). Sync
-/// events (spawn/join/lock/sem) are forwarded to the tool only — they are
-/// scheduling metadata, not part of the wire event vocabulary, and the
-/// profiling algorithms ignore them, which is what keeps live and replayed
-/// profiles identical.
-struct RecordSink<'a, W: Write> {
+/// The tee of [`Machine::run_recording`]: every event goes to the live tool
+/// and then to the capture tool. A wire-trace capture ignores the sync
+/// callbacks (spawn/join/lock/sem): they are scheduling metadata, not part
+/// of the wire event vocabulary, and the profilers ignore them too, which
+/// is what keeps live and replayed profiles identical.
+struct Tee<'a, C: Tool + ?Sized> {
     tool: &'a mut dyn Tool,
-    writer: &'a mut WireWriter<W>,
+    capture: &'a mut C,
 }
 
-impl<W: Write> Sink for RecordSink<'_, W> {
+impl<C: Tool + ?Sized> Tool for Tee<'_, C> {
+    fn name(&self) -> &'static str {
+        self.tool.name()
+    }
     fn thread_start(&mut self, t: ThreadId) {
         self.tool.thread_start(t);
-        self.writer.record(t, Event::ThreadStart);
+        self.capture.thread_start(t);
     }
     fn thread_exit(&mut self, t: ThreadId) {
         self.tool.thread_exit(t);
-        self.writer.record(t, Event::ThreadExit);
+        self.capture.thread_exit(t);
     }
     fn thread_switch(&mut self, t: ThreadId) {
         self.tool.thread_switch(t);
-        self.writer.record(t, Event::ThreadSwitch);
+        self.capture.thread_switch(t);
     }
     fn basic_block(&mut self, t: ThreadId, cost: u64) {
         self.tool.basic_block(t, cost);
-        self.writer.record(t, Event::BasicBlock { cost });
+        self.capture.basic_block(t, cost);
     }
     fn call(&mut self, t: ThreadId, r: RoutineId) {
         self.tool.call(t, r);
-        self.writer.record(t, Event::Call { routine: r });
+        self.capture.call(t, r);
     }
     fn ret(&mut self, t: ThreadId, r: RoutineId) {
         self.tool.ret(t, r);
-        self.writer.record(t, Event::Return { routine: r });
+        self.capture.ret(t, r);
     }
     fn read(&mut self, t: ThreadId, a: Addr) {
         self.tool.read(t, a);
-        self.writer.record(t, Event::Read { addr: a });
+        self.capture.read(t, a);
     }
     fn write(&mut self, t: ThreadId, a: Addr) {
         self.tool.write(t, a);
-        self.writer.record(t, Event::Write { addr: a });
+        self.capture.write(t, a);
     }
     fn kernel_read(&mut self, t: ThreadId, a: Addr) {
         self.tool.kernel_read(t, a);
-        self.writer.record(t, Event::KernelRead { addr: a });
+        self.capture.kernel_read(t, a);
     }
     fn kernel_write(&mut self, t: ThreadId, a: Addr) {
         self.tool.kernel_write(t, a);
-        self.writer.record(t, Event::KernelWrite { addr: a });
+        self.capture.kernel_write(t, a);
     }
     fn spawned(&mut self, parent: ThreadId, child: ThreadId) {
         self.tool.spawned(parent, child);
+        self.capture.spawned(parent, child);
     }
     fn joined(&mut self, t: ThreadId, target: ThreadId) {
         self.tool.joined(t, target);
+        self.capture.joined(t, target);
     }
     fn lock_acquired(&mut self, t: ThreadId, lock: i64) {
         self.tool.lock_acquired(t, lock);
+        self.capture.lock_acquired(t, lock);
     }
     fn lock_released(&mut self, t: ThreadId, lock: i64) {
         self.tool.lock_released(t, lock);
+        self.capture.lock_released(t, lock);
     }
     fn sem_posted(&mut self, t: ThreadId, sem: i64) {
         self.tool.sem_posted(t, sem);
+        self.capture.sem_posted(t, sem);
     }
     fn sem_waited(&mut self, t: ThreadId, sem: i64) {
         self.tool.sem_waited(t, sem);
+        self.capture.sem_waited(t, sem);
     }
 }
 
-/// Wrapper sink installed under `--observe`: counts blocks/events/switches
+/// Wrapper tool installed under `--observe`: counts blocks/events/switches
 /// into plain locals and folds them into the global [`aprof_obs`] counters
 /// (plus a rate-limited stderr heartbeat) once per [`OBS_FLUSH_BLOCKS`]
 /// blocks and at drop. Per-event cost while observing is a local integer
 /// bump; when observability is disabled this type is never constructed.
-struct ObsSink<'a, S: Sink> {
+struct ObsTool<'a, S: Tool + ?Sized> {
     inner: &'a mut S,
     blocks: u64,
     events: u64,
@@ -298,9 +224,9 @@ struct ObsSink<'a, S: Sink> {
 
 const OBS_FLUSH_BLOCKS: u64 = 4096;
 
-impl<'a, S: Sink> ObsSink<'a, S> {
+impl<'a, S: Tool + ?Sized> ObsTool<'a, S> {
     fn new(inner: &'a mut S) -> Self {
-        ObsSink {
+        ObsTool {
             inner,
             blocks: 0,
             events: 0,
@@ -328,13 +254,16 @@ impl<'a, S: Sink> ObsSink<'a, S> {
     }
 }
 
-impl<S: Sink> Drop for ObsSink<'_, S> {
+impl<S: Tool + ?Sized> Drop for ObsTool<'_, S> {
     fn drop(&mut self) {
         self.flush();
     }
 }
 
-impl<S: Sink> Sink for ObsSink<'_, S> {
+impl<S: Tool + ?Sized> Tool for ObsTool<'_, S> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
     fn thread_start(&mut self, t: ThreadId) {
         self.events += 1;
         self.inner.thread_start(t);
@@ -417,6 +346,27 @@ struct ActFrame {
     /// [`MachineConfig::strict_regs`] is set.
     init: Vec<bool>,
     ret_dst: Option<Reg>,
+}
+
+impl ActFrame {
+    /// Reads register `r`. Under `STRICT`, a register never written in this
+    /// activation is a [`VmError::UseBeforeDef`] of thread `tid`.
+    #[inline(always)]
+    fn get<const STRICT: bool>(&self, tid: ThreadId, r: u16) -> Result<i64, VmError> {
+        if STRICT && !self.init[r as usize] {
+            return Err(VmError::UseBeforeDef { thread: tid, func: self.func, reg: Reg(r) });
+        }
+        Ok(self.regs[r as usize])
+    }
+
+    /// Writes register `r`, marking it written under `STRICT`.
+    #[inline(always)]
+    fn set<const STRICT: bool>(&mut self, r: u16, v: i64) {
+        self.regs[r as usize] = v;
+        if STRICT {
+            self.init[r as usize] = true;
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -546,80 +496,71 @@ impl Machine {
     }
 
     /// Runs the program without instrumentation — the "native" baseline of
-    /// Table 1.
+    /// Table 1. The interpreter is monomorphized for [`NullTool`], so its
+    /// empty callbacks compile away.
     ///
     /// # Errors
     ///
     /// Returns a [`VmError`] on guest deadlock, lock misuse, bad file
     /// descriptors or an exceeded block budget.
     pub fn run_native(&mut self) -> Result<RunOutcome, VmError> {
-        self.run_inner(&mut NoSink)
+        self.run_inner(&mut NullTool)
     }
 
     /// Runs the program delivering every instrumentation event to `tool`
-    /// (and calling [`Tool::finish`] at the end).
+    /// through dynamic dispatch (and calling [`Tool::finish`] at the end),
+    /// so even a do-nothing tool pays the dispatch cost `nulgrind` pays
+    /// under Valgrind.
     ///
     /// # Errors
     ///
     /// Same conditions as [`run_native`](Machine::run_native).
     pub fn run_with(&mut self, tool: &mut dyn Tool) -> Result<RunOutcome, VmError> {
-        let outcome = {
-            let mut sink = ToolSink(tool);
-            self.run_inner(&mut sink)
-        };
+        let outcome = self.run_inner(tool);
         tool.finish();
         outcome
     }
 
     /// Runs the program delivering every instrumentation event to `tool`
-    /// *and* capturing the wire-format events into `writer` as they happen
-    /// (streaming capture: chunks are sealed and written while the guest
-    /// runs, so the trace never resides in memory).
+    /// *and then* to `capture`, calling [`Tool::finish`] on both at the end.
     ///
-    /// The caller should create `writer` from
+    /// The usual capture is an `aprof_wire::WireWriter` (streaming capture:
+    /// chunks are sealed and written while the guest runs, so the trace
+    /// never resides in memory). The caller should create the writer from
     /// [`Program::routines`](crate::ir::Program::routines) so routine names
-    /// travel with the trace, and must call `writer.finish()` after the run
-    /// to seal the file — that is also where any capture i/o error latched
-    /// during the run is reported.
+    /// travel with the trace, and must call `WireWriter::finish` after the
+    /// run to seal the file — that is also where any capture i/o error
+    /// latched during the run is reported.
     ///
     /// # Errors
     ///
     /// Same conditions as [`run_native`](Machine::run_native). Capture i/o
     /// failures do not abort the guest.
-    pub fn run_recording<W: Write>(
+    pub fn run_recording<C: Tool + ?Sized>(
         &mut self,
         tool: &mut dyn Tool,
-        writer: &mut WireWriter<W>,
+        capture: &mut C,
     ) -> Result<RunOutcome, VmError> {
-        let outcome = {
-            let mut sink = RecordSink { tool, writer };
-            self.run_inner(&mut sink)
-        };
+        let outcome = self.run_inner(&mut Tee { tool: &mut *tool, capture: &mut *capture });
         tool.finish();
+        capture.finish();
         outcome
     }
 
-    fn run_inner<S: Sink>(&mut self, sink: &mut S) -> Result<RunOutcome, VmError> {
+    fn run_inner<S: Tool + ?Sized>(&mut self, tool: &mut S) -> Result<RunOutcome, VmError> {
         if aprof_obs::is_enabled() {
             let _span = aprof_obs::span!("vm.run");
-            let mut obs = ObsSink::new(sink);
-            return self.run_exec(&mut obs);
+            return self.run_exec(&mut ObsTool::new(tool));
         }
-        self.run_exec(sink)
+        self.run_exec(tool)
     }
 
-    fn run_exec<S: Sink>(&mut self, sink: &mut S) -> Result<RunOutcome, VmError> {
-        // Census runs decode without fusion — fusing would hide exactly the
-        // pairs being counted. Strict-register mode interprets through the
-        // original path, where the per-operand use-before-def checks live.
-        let census = std::env::var_os("APROF_VM_PAIR_CENSUS").is_some();
-        let mode = if self.config.strict_regs {
-            DecodeMode::Original
-        } else if census {
-            DecodeMode::Plain
-        } else {
-            DecodeMode::Fused
-        };
+    fn run_exec<S: Tool + ?Sized>(&mut self, tool: &mut S) -> Result<RunOutcome, VmError> {
+        // Strict-register mode decodes unfused: each simple op then runs
+        // through its own checked handler, the reference that fusion is
+        // tested against.
+        let strict = self.config.strict_regs;
+        let mode = if strict { DecodeMode::Plain } else { DecodeMode::Fused };
         let decoded = DecodedProgram::build(&self.program, mode);
         let mut exec = Exec {
             program: &self.program,
@@ -635,15 +576,14 @@ impl Machine {
             switches: 0,
             instructions: 0,
             alloc_cells: 0,
-            census: census.then(PairCensus::new),
         };
         exec.spawn_thread(self.program.entry(), Vec::new())
             .expect("first thread is always under the limit");
-        let outcome = exec.run(&decoded, sink);
-        if let Some(census) = &exec.census {
-            eprintln!("{}", census.report());
+        if strict {
+            exec.run::<S, true>(&decoded, tool)
+        } else {
+            exec.run::<S, false>(&decoded, tool)
         }
-        outcome
     }
 }
 
@@ -661,8 +601,6 @@ struct Exec<'m> {
     switches: u64,
     instructions: u64,
     alloc_cells: u64,
-    /// Adjacent-pair census, allocated only under `APROF_VM_PAIR_CENSUS`.
-    census: Option<PairCensus>,
 }
 
 impl<'m> Exec<'m> {
@@ -707,52 +645,33 @@ impl<'m> Exec<'m> {
         init
     }
 
-    /// In strict-register mode, errors if `reg` was never written in the
-    /// top activation of thread `t`.
-    fn strict_read(&self, t: usize, tid: ThreadId, reg: Reg) -> Result<(), VmError> {
-        if !self.config.strict_regs {
-            return Ok(());
-        }
-        let frame = self.threads[t].frames.last().expect("live thread has a frame");
-        if frame.init[reg.0 as usize] {
-            Ok(())
-        } else {
-            Err(VmError::UseBeforeDef { thread: tid, func: frame.func, reg })
-        }
-    }
-
-    /// In strict-register mode, marks `reg` written in the top activation.
-    fn strict_write(&mut self, t: usize, reg: Reg) {
-        if !self.config.strict_regs {
-            return;
-        }
-        let frame = self.threads[t].frames.last_mut().expect("live thread has a frame");
-        frame.init[reg.0 as usize] = true;
-    }
-
     fn wake(&mut self, t: usize) {
         self.threads[t].status = Status::Ready;
         self.runq.push_back(t);
     }
 
-    fn run<S: Sink>(&mut self, dp: &DecodedProgram, sink: &mut S) -> Result<RunOutcome, VmError> {
+    fn run<S: Tool + ?Sized, const STRICT: bool>(
+        &mut self,
+        dp: &DecodedProgram,
+        tool: &mut S,
+    ) -> Result<RunOutcome, VmError> {
         let mut last: Option<usize> = None;
         let mut trap: Option<ResourceTrap> = None;
         while let Some(t) = self.runq.pop_front() {
             debug_assert_eq!(self.threads[t].status, Status::Ready);
             if last.is_some() && last != Some(t) {
                 self.switches += 1;
-                sink.thread_switch(self.threads[t].id);
+                tool.thread_switch(self.threads[t].id);
             }
             last = Some(t);
             if !self.threads[t].started {
                 self.threads[t].started = true;
-                sink.thread_start(self.threads[t].id);
+                tool.thread_start(self.threads[t].id);
                 // The entry function of a thread is an activation too.
                 let func = self.threads[t].frames[0].func;
-                sink.call(self.threads[t].id, RoutineId::new(func.0));
+                tool.call(self.threads[t].id, RoutineId::new(func.0));
             }
-            let sliced = match self.slice(t, dp, sink) {
+            let sliced = match self.slice::<S, STRICT>(t, dp, tool) {
                 Ok(s) => s,
                 Err(VmError::ResourceExhausted { resource, limit })
                     if self.config.limits.trap =>
@@ -770,13 +689,13 @@ impl<'m> Exec<'m> {
                 Slice::Preempted => self.runq.push_back(t),
                 Slice::Blocked => {}
                 Slice::Exited => {
-                    sink.thread_exit(self.threads[t].id);
+                    tool.thread_exit(self.threads[t].id);
                     if let Some(waiters) = self.joiners.remove(&t) {
                         for w in waiters {
                             // The join instruction has completed.
                             self.advance(w);
                             self.wake(w);
-                            sink.joined(self.threads[w].id, self.threads[t].id);
+                            tool.joined(self.threads[w].id, self.threads[t].id);
                         }
                     }
                 }
@@ -826,16 +745,17 @@ impl<'m> Exec<'m> {
     ///
     /// The inner loop is the direct-threaded dispatch: decoded simple ops
     /// go through the [`Tbl`] function-pointer table without re-resolving
-    /// the frame position; [`C_COMPLEX`] slots (and every op under
-    /// `strict_regs`) escape to [`Exec::instr`]. The loop keeps the
-    /// instruction index in a local and writes it back to the frame only at
-    /// escape points — before a complex op (whose blocking/waker protocol
-    /// reads `frame.idx`) and at the terminator.
-    fn slice<S: Sink>(
+    /// the frame position; [`C_COMPLEX`] slots escape to [`Exec::instr`].
+    /// The loop keeps the instruction index in a local and writes it back
+    /// to the frame only at escape points — before a complex op (whose
+    /// blocking/waker protocol reads `frame.idx`) and at the terminator.
+    /// `STRICT` selects the use-before-def-checking instantiation of every
+    /// step (see [`MachineConfig::strict_regs`]).
+    fn slice<S: Tool + ?Sized, const STRICT: bool>(
         &mut self,
         t: usize,
         dp: &DecodedProgram,
-        sink: &mut S,
+        tool: &mut S,
     ) -> Result<Slice, VmError> {
         let tid = self.threads[t].id;
         let mut budget = self.config.quantum;
@@ -853,7 +773,7 @@ impl<'m> Exec<'m> {
                             limit: self.config.max_blocks,
                         });
                     }
-                    sink.basic_block(tid, 1);
+                    tool.basic_block(tid, 1);
                 }
             }
             let (func, block, mut idx) = {
@@ -861,17 +781,16 @@ impl<'m> Exec<'m> {
                 (frame.func, frame.block, frame.idx)
             };
             let ops = dp.block(func.index(), block);
-            let mut prev: Option<u8> = None;
             while idx < ops.len() {
                 let (code, adv) = (ops[idx].code, ops[idx].adv);
                 if code == C_COMPLEX {
-                    // The original interpretation path reads and advances
-                    // `frame.idx` itself (and wakers advance it for blocked
-                    // instructions), so sync the local index first.
+                    // `Exec::instr` reads and advances `frame.idx` itself
+                    // (and wakers advance it for blocked instructions), so
+                    // sync the local index first.
                     self.threads[t].frames.last_mut().expect("frame").idx = idx;
                     let program = self.program;
                     let instr = &program.function(func).blocks[block].instrs[idx];
-                    match self.instr(t, tid, instr, sink)? {
+                    match self.instr::<S, STRICT>(t, tid, instr, tool)? {
                         // Control may have moved (call pushed a frame);
                         // re-resolve from the top.
                         Flow::Next => continue 'blocks,
@@ -882,13 +801,7 @@ impl<'m> Exec<'m> {
                         Flow::Yielded => return Ok(Slice::Preempted),
                     }
                 }
-                if let Some(census) = &mut self.census {
-                    if let Some(p) = prev {
-                        census.record(p, code);
-                    }
-                    prev = Some(code);
-                }
-                (Tbl::<S>::TABLE[code as usize])(self, sink, t, tid, ops, idx)?;
+                (Tbl::<S, STRICT>::TABLE[code as usize])(self, tool, t, tid, ops, idx)?;
                 idx += adv as usize;
             }
             self.threads[t].frames.last_mut().expect("frame").idx = idx;
@@ -904,27 +817,21 @@ impl<'m> Exec<'m> {
                     frame.bb_counted = false;
                 }
                 Terminator::Br { cond, then_to, else_to } => {
-                    self.strict_read(t, tid, *cond)?;
                     let frame = self.threads[t].frames.last_mut().expect("frame");
-                    let taken = if frame.regs[cond.0 as usize] != 0 { then_to } else { else_to };
+                    let taken =
+                        if frame.get::<STRICT>(tid, cond.0)? != 0 { then_to } else { else_to };
                     frame.block = taken.index();
                     frame.idx = 0;
                     frame.bb_counted = false;
                 }
                 Terminator::Ret { value } => {
-                    if let Some(r) = value {
-                        self.strict_read(t, tid, *r)?;
-                    }
                     let frame = self.threads[t].frames.pop().expect("frame");
-                    let result = value.map(|r| frame.regs[r.0 as usize]);
-                    sink.ret(tid, RoutineId::new(frame.func.0));
+                    let result = value.map(|r| frame.get::<STRICT>(tid, r.0)).transpose()?;
+                    tool.ret(tid, RoutineId::new(frame.func.0));
                     match self.threads[t].frames.last_mut() {
                         Some(caller) => {
                             if let (Some(dst), Some(v)) = (frame.ret_dst, result) {
-                                caller.regs[dst.0 as usize] = v;
-                                if self.config.strict_regs {
-                                    caller.init[dst.0 as usize] = true;
-                                }
+                                caller.set::<STRICT>(dst.0, v);
                             }
                         }
                         None => {
@@ -955,21 +862,24 @@ impl<'m> Exec<'m> {
         Ok(())
     }
 
-    fn instr<S: Sink>(
+    /// Executes one instruction that decodes to [`C_COMPLEX`]: calls,
+    /// threading and synchronization, allocation and device I/O.
+    fn instr<S: Tool + ?Sized, const STRICT: bool>(
         &mut self,
         t: usize,
         tid: ThreadId,
         instr: &Instr,
-        sink: &mut S,
+        tool: &mut S,
     ) -> Result<Flow, VmError> {
         self.charge_instruction()?;
-        if self.config.strict_regs {
+        if STRICT {
             // Operand checks happen up front, before any side effect. A
             // blocked instruction re-checks on resume; that is idempotent.
             let mut uses = Vec::new();
             instr.uses_into(&mut uses);
+            let frame = frame_mut(self, t);
             for r in uses {
-                self.strict_read(t, tid, r)?;
+                frame.get::<true>(tid, r.0)?;
             }
         }
         // Most instructions complete and advance the pointer; blocking ones
@@ -980,43 +890,12 @@ impl<'m> Exec<'m> {
             };
         }
         match instr {
-            Instr::Const { dst, value } => {
-                regs!()[dst.0 as usize] = *value;
-            }
-            Instr::Mov { dst, src } => {
-                let v = regs!()[src.0 as usize];
-                regs!()[dst.0 as usize] = v;
-            }
-            Instr::Bin { op, dst, lhs, rhs } => {
-                let (a, b) = {
-                    let r = &regs!();
-                    (r[lhs.0 as usize], r[rhs.0 as usize])
-                };
-                regs!()[dst.0 as usize] = op.eval(a, b);
-            }
-            Instr::Cmp { op, dst, lhs, rhs } => {
-                let (a, b) = {
-                    let r = &regs!();
-                    (r[lhs.0 as usize], r[rhs.0 as usize])
-                };
-                regs!()[dst.0 as usize] = op.eval(a, b);
-            }
-            Instr::Load { dst, addr, offset } => {
-                let base = regs!()[addr.0 as usize];
-                let a = Addr::new(base.wrapping_add(*offset) as u64);
-                sink.read(tid, a);
-                let v = self.memory.read(a);
-                regs!()[dst.0 as usize] = v;
-            }
-            Instr::Store { src, addr, offset } => {
-                let (base, v) = {
-                    let r = &regs!();
-                    (r[addr.0 as usize], r[src.0 as usize])
-                };
-                let a = Addr::new(base.wrapping_add(*offset) as u64);
-                sink.write(tid, a);
-                self.memory.write(a, v);
-            }
+            Instr::Const { .. }
+            | Instr::Mov { .. }
+            | Instr::Bin { .. }
+            | Instr::Cmp { .. }
+            | Instr::Load { .. }
+            | Instr::Store { .. } => unreachable!("simple ops run through the handler table"),
             Instr::Alloc { dst, len } => {
                 let n = regs!()[len.0 as usize].max(0) as u64;
                 self.alloc_cells = self.alloc_cells.saturating_add(n);
@@ -1041,7 +920,7 @@ impl<'m> Exec<'m> {
                 let f = self.program.function(*func);
                 let mut regs = vec![0i64; f.regs as usize];
                 regs[..argv.len()].copy_from_slice(&argv);
-                sink.call(tid, RoutineId::new(func.0));
+                tool.call(tid, RoutineId::new(func.0));
                 let init = self.init_set(f.regs as usize, argv.len());
                 self.threads[t].frames.push(ActFrame {
                     func: *func,
@@ -1060,7 +939,7 @@ impl<'m> Exec<'m> {
                     args.iter().map(|a| r[a.0 as usize]).collect()
                 };
                 let handle = self.spawn_thread(*func, argv)?;
-                sink.spawned(tid, ThreadId::new(handle as u32));
+                tool.spawned(tid, ThreadId::new(handle as u32));
                 regs!()[dst.0 as usize] = handle as i64;
             }
             Instr::Join { thread } => {
@@ -1073,7 +952,7 @@ impl<'m> Exec<'m> {
                     self.joiners.entry(target).or_default().push(t);
                     return Ok(Flow::Blocked);
                 }
-                sink.joined(tid, self.threads[target].id);
+                tool.joined(tid, self.threads[target].id);
             }
             Instr::Acquire { lock } => {
                 let key = regs!()[lock.0 as usize];
@@ -1081,7 +960,7 @@ impl<'m> Exec<'m> {
                 match state.holder {
                     None => {
                         state.holder = Some(t);
-                        sink.lock_acquired(tid, key);
+                        tool.lock_acquired(tid, key);
                     }
                     Some(_) => {
                         state.waiters.push_back(t);
@@ -1105,12 +984,12 @@ impl<'m> Exec<'m> {
                         None
                     }
                 };
-                sink.lock_released(tid, key);
+                tool.lock_released(tid, key);
                 if let Some(next) = next {
                     // Complete the waiter's Acquire on its behalf.
                     self.advance(next);
                     self.wake(next);
-                    sink.lock_acquired(self.threads[next].id, key);
+                    tool.lock_acquired(self.threads[next].id, key);
                 }
             }
             Instr::SemInit { sem, value } => {
@@ -1130,12 +1009,12 @@ impl<'m> Exec<'m> {
                         None
                     }
                 };
-                sink.sem_posted(tid, key);
+                tool.sem_posted(tid, key);
                 if let Some(next) = next {
                     // Hand the permit straight to a waiter.
                     self.advance(next);
                     self.wake(next);
-                    sink.sem_waited(self.threads[next].id, key);
+                    tool.sem_waited(self.threads[next].id, key);
                 }
             }
             Instr::SemWait { sem } => {
@@ -1143,7 +1022,7 @@ impl<'m> Exec<'m> {
                 let state = self.sems.entry(key).or_default();
                 if state.value > 0 {
                     state.value -= 1;
-                    sink.sem_waited(tid, key);
+                    tool.sem_waited(tid, key);
                 } else {
                     state.waiters.push_back(t);
                     return Ok(Flow::Blocked);
@@ -1167,7 +1046,7 @@ impl<'m> Exec<'m> {
                     match device.read_cell() {
                         Some(v) => {
                             let a = Addr::new((base.wrapping_add(i)) as u64);
-                            sink.kernel_write(tid, a);
+                            tool.kernel_write(tid, a);
                             self.memory.write(a, v);
                             moved += 1;
                         }
@@ -1187,7 +1066,7 @@ impl<'m> Exec<'m> {
                 let mut moved = 0i64;
                 for i in 0..n.max(0) {
                     let a = Addr::new((base.wrapping_add(i)) as u64);
-                    sink.kernel_read(tid, a);
+                    tool.kernel_read(tid, a);
                     let v = self.memory.read(a);
                     let device = self.devices.get_mut(fdv).expect("checked above");
                     device.write_cell(v);
@@ -1196,11 +1075,11 @@ impl<'m> Exec<'m> {
                 regs!()[dst.0 as usize] = moved;
             }
         }
-        if self.config.strict_regs {
+        if STRICT {
             // `Call` returned early above: its destination only becomes
             // defined when the callee returns a value (see the `Ret` arm).
             if let Some(d) = instr.def() {
-                self.strict_write(t, d);
+                frame_mut(self, t).init[d.0 as usize] = true;
             }
         }
         self.advance(t);
@@ -1217,12 +1096,15 @@ enum Flow {
 // ---------------------------------------------------------------------------
 // Direct-threaded dispatch: effect functions, handlers and the table.
 //
-// Every *simple* (non-blocking, infallible-but-for-the-budget) opcode has an
-// `e_*` effect function holding just its semantics, a `h_*` plain handler
+// Every *simple* (non-blocking, infallible-but-for-the-budget) opcode has one
+// `e_*` effect function holding its semantics, a `h_*` plain handler
 // (charge + effect), and possibly membership in a `h_fuse_*` superinstruction
 // handler (charge + effect, twice, reading the second op's operands from the
-// filler slot — see `crate::dispatch` for the invariants). Handlers never
-// touch `ActFrame::idx`; the dispatch loop in `slice` advances by
+// filler slot — see `crate::dispatch` for the invariants). Effects are
+// generic over `STRICT`: the checked instantiation reads every source
+// register through `ActFrame::get` (in `Instr::uses_into` order) before it
+// applies the effect, and marks the destination written after. Handlers
+// never touch `ActFrame::idx`; the dispatch loop in `slice` advances by
 // `DecodedOp::adv` on success.
 // ---------------------------------------------------------------------------
 
@@ -1231,41 +1113,41 @@ enum Flow {
 type Handler<S> =
     fn(&mut Exec<'_>, &mut S, usize, ThreadId, &[DecodedOp], usize) -> Result<(), VmError>;
 
-/// The handler table, monomorphized per [`Sink`] (generics cannot carry
-/// `static`s, but associated consts work).
-struct Tbl<S>(std::marker::PhantomData<S>);
+/// The handler table, monomorphized per [`Tool`] type and checking mode
+/// (generics cannot carry `static`s, but associated consts work).
+struct Tbl<S: ?Sized, const STRICT: bool>(std::marker::PhantomData<S>);
 
-impl<S: Sink> Tbl<S> {
+impl<S: Tool + ?Sized, const STRICT: bool> Tbl<S, STRICT> {
     /// Indexed by decoded opcode; order must match the `C_*` constants in
-    /// [`crate::dispatch`] (`table_order_matches_codes` pins it).
+    /// [`crate::dispatch`].
     const TABLE: [Handler<S>; N_CODES] = [
-        h_const::<S>,
-        h_mov::<S>,
-        h_load::<S>,
-        h_store::<S>,
-        h_add::<S>,
-        h_sub::<S>,
-        h_mul::<S>,
-        h_div::<S>,
-        h_rem::<S>,
-        h_and::<S>,
-        h_or::<S>,
-        h_xor::<S>,
-        h_shl::<S>,
-        h_shr::<S>,
-        h_min::<S>,
-        h_max::<S>,
-        h_ceq::<S>,
-        h_cne::<S>,
-        h_clt::<S>,
-        h_cle::<S>,
-        h_cgt::<S>,
-        h_cge::<S>,
-        h_fuse_const_const::<S>,
-        h_fuse_add_load::<S>,
-        h_fuse_add_add::<S>,
-        h_fuse_const_add::<S>,
-        h_fuse_const_cgt::<S>,
+        h_const::<S, STRICT>,
+        h_mov::<S, STRICT>,
+        h_load::<S, STRICT>,
+        h_store::<S, STRICT>,
+        h_add::<S, STRICT>,
+        h_sub::<S, STRICT>,
+        h_mul::<S, STRICT>,
+        h_div::<S, STRICT>,
+        h_rem::<S, STRICT>,
+        h_and::<S, STRICT>,
+        h_or::<S, STRICT>,
+        h_xor::<S, STRICT>,
+        h_shl::<S, STRICT>,
+        h_shr::<S, STRICT>,
+        h_min::<S, STRICT>,
+        h_max::<S, STRICT>,
+        h_ceq::<S, STRICT>,
+        h_cne::<S, STRICT>,
+        h_clt::<S, STRICT>,
+        h_cle::<S, STRICT>,
+        h_cgt::<S, STRICT>,
+        h_cge::<S, STRICT>,
+        h_fuse_const_const::<S, STRICT>,
+        h_fuse_add_load::<S, STRICT>,
+        h_fuse_add_add::<S, STRICT>,
+        h_fuse_const_add::<S, STRICT>,
+        h_fuse_const_cgt::<S, STRICT>,
     ];
 }
 
@@ -1275,33 +1157,62 @@ fn frame_mut<'a>(ex: &'a mut Exec<'_>, t: usize) -> &'a mut ActFrame {
 }
 
 #[inline(always)]
-fn e_const<S: Sink>(ex: &mut Exec<'_>, _sink: &mut S, t: usize, _tid: ThreadId, op: &DecodedOp) {
-    frame_mut(ex, t).regs[op.dst as usize] = op.imm;
+fn e_const<S: Tool + ?Sized, const STRICT: bool>(
+    ex: &mut Exec<'_>,
+    _tool: &mut S,
+    t: usize,
+    _tid: ThreadId,
+    op: &DecodedOp,
+) -> Result<(), VmError> {
+    frame_mut(ex, t).set::<STRICT>(op.dst, op.imm);
+    Ok(())
 }
 
 #[inline(always)]
-fn e_mov<S: Sink>(ex: &mut Exec<'_>, _sink: &mut S, t: usize, _tid: ThreadId, op: &DecodedOp) {
+fn e_mov<S: Tool + ?Sized, const STRICT: bool>(
+    ex: &mut Exec<'_>,
+    _tool: &mut S,
+    t: usize,
+    tid: ThreadId,
+    op: &DecodedOp,
+) -> Result<(), VmError> {
     let f = frame_mut(ex, t);
-    let v = f.regs[op.a as usize];
-    f.regs[op.dst as usize] = v;
+    let v = f.get::<STRICT>(tid, op.a)?;
+    f.set::<STRICT>(op.dst, v);
+    Ok(())
 }
 
 #[inline(always)]
-fn e_load<S: Sink>(ex: &mut Exec<'_>, sink: &mut S, t: usize, tid: ThreadId, op: &DecodedOp) {
-    let base = frame_mut(ex, t).regs[op.a as usize];
+fn e_load<S: Tool + ?Sized, const STRICT: bool>(
+    ex: &mut Exec<'_>,
+    tool: &mut S,
+    t: usize,
+    tid: ThreadId,
+    op: &DecodedOp,
+) -> Result<(), VmError> {
+    let base = frame_mut(ex, t).get::<STRICT>(tid, op.a)?;
     let a = Addr::new(base.wrapping_add(op.imm) as u64);
-    sink.read(tid, a);
+    tool.read(tid, a);
     let v = ex.memory.read(a);
-    frame_mut(ex, t).regs[op.dst as usize] = v;
+    frame_mut(ex, t).set::<STRICT>(op.dst, v);
+    Ok(())
 }
 
 #[inline(always)]
-fn e_store<S: Sink>(ex: &mut Exec<'_>, sink: &mut S, t: usize, tid: ThreadId, op: &DecodedOp) {
+fn e_store<S: Tool + ?Sized, const STRICT: bool>(
+    ex: &mut Exec<'_>,
+    tool: &mut S,
+    t: usize,
+    tid: ThreadId,
+    op: &DecodedOp,
+) -> Result<(), VmError> {
     let f = frame_mut(ex, t);
-    let (base, v) = (f.regs[op.a as usize], f.regs[op.b as usize]);
+    let base = f.get::<STRICT>(tid, op.a)?;
+    let v = f.get::<STRICT>(tid, op.b)?;
     let a = Addr::new(base.wrapping_add(op.imm) as u64);
-    sink.write(tid, a);
+    tool.write(tid, a);
     ex.memory.write(a, v);
+    Ok(())
 }
 
 /// Generates one effect function per arithmetic/comparison opcode, so the
@@ -1309,16 +1220,18 @@ fn e_store<S: Sink>(ex: &mut Exec<'_>, sink: &mut S, t: usize, tid: ThreadId, op
 macro_rules! arith_effects {
     ($($name:ident = $op:expr;)*) => {$(
         #[inline(always)]
-        fn $name<S: Sink>(
+        fn $name<S: Tool + ?Sized, const STRICT: bool>(
             ex: &mut Exec<'_>,
-            _sink: &mut S,
+            _tool: &mut S,
             t: usize,
-            _tid: ThreadId,
+            tid: ThreadId,
             op: &DecodedOp,
-        ) {
+        ) -> Result<(), VmError> {
             let f = frame_mut(ex, t);
-            let (a, b) = (f.regs[op.a as usize], f.regs[op.b as usize]);
-            f.regs[op.dst as usize] = $op.eval(a, b);
+            let a = f.get::<STRICT>(tid, op.a)?;
+            let b = f.get::<STRICT>(tid, op.b)?;
+            f.set::<STRICT>(op.dst, $op.eval(a, b));
+            Ok(())
         }
     )*};
 }
@@ -1346,17 +1259,16 @@ arith_effects! {
 
 macro_rules! plain_handlers {
     ($($h:ident = $e:ident;)*) => {$(
-        fn $h<S: Sink>(
+        fn $h<S: Tool + ?Sized, const STRICT: bool>(
             ex: &mut Exec<'_>,
-            sink: &mut S,
+            tool: &mut S,
             t: usize,
             tid: ThreadId,
             ops: &[DecodedOp],
             idx: usize,
         ) -> Result<(), VmError> {
             ex.charge_instruction()?;
-            $e(ex, sink, t, tid, &ops[idx]);
-            Ok(())
+            $e::<S, STRICT>(ex, tool, t, tid, &ops[idx])
         }
     )*};
 }
@@ -1392,19 +1304,18 @@ plain_handlers! {
 /// op's operands come from the filler slot at `idx + 1`.
 macro_rules! fused_handlers {
     ($($h:ident = $e1:ident + $e2:ident;)*) => {$(
-        fn $h<S: Sink>(
+        fn $h<S: Tool + ?Sized, const STRICT: bool>(
             ex: &mut Exec<'_>,
-            sink: &mut S,
+            tool: &mut S,
             t: usize,
             tid: ThreadId,
             ops: &[DecodedOp],
             idx: usize,
         ) -> Result<(), VmError> {
             ex.charge_instruction()?;
-            $e1(ex, sink, t, tid, &ops[idx]);
+            $e1::<S, STRICT>(ex, tool, t, tid, &ops[idx])?;
             ex.charge_instruction()?;
-            $e2(ex, sink, t, tid, &ops[idx + 1]);
-            Ok(())
+            $e2::<S, STRICT>(ex, tool, t, tid, &ops[idx + 1])
         }
     )*};
 }

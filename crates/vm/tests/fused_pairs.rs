@@ -1,20 +1,21 @@
-//! Differential tests for the interpreter's superinstructions: every fused
-//! pair must produce the exact exit value and instrumentation-event stream
-//! of the original `match`-based interpretation path (forced here via
-//! `strict_regs`, which decodes everything to the escape opcode), and must
-//! trap at the same instruction when a resource budget lands between the
-//! two halves of a pair.
+//! Differential tests for the interpreter's superinstructions. The
+//! reference is the unfused, checked decoding that `strict_regs` selects:
+//! every simple op runs through its own plain handler, with use-before-def
+//! checks on. Every fused pair must produce that reference's exact exit
+//! value and instrumentation-event stream, and must trap at the same
+//! instruction when a resource budget lands between the two halves of a
+//! pair.
 
 use aprof_trace::RecordingTool;
 use aprof_vm::{asm, Machine, MachineConfig, ResourceLimits};
 
-/// Runs `src` under both decode paths and asserts identical outcomes and
+/// Runs `src` fused and unfused and asserts identical outcomes and
 /// identical recorded traces.
-fn assert_fused_matches_original(src: &str, expect_exit: Option<i64>) {
+fn assert_fused_matches_unfused(src: &str, expect_exit: Option<i64>) {
     let fused_cfg = MachineConfig::default();
-    let original_cfg = MachineConfig { strict_regs: true, ..MachineConfig::default() };
+    let unfused_cfg = MachineConfig { strict_regs: true, ..MachineConfig::default() };
     let mut traces = Vec::new();
-    for cfg in [fused_cfg, original_cfg] {
+    for cfg in [fused_cfg, unfused_cfg] {
         let mut m = Machine::new(asm::parse(src).unwrap()).with_config(cfg);
         let mut tool = RecordingTool::new();
         let outcome = m.run_with(&mut tool).unwrap();
@@ -22,14 +23,14 @@ fn assert_fused_matches_original(src: &str, expect_exit: Option<i64>) {
         traces.push((outcome, tool.into_trace()));
     }
     let (fused_outcome, fused_trace) = &traces[0];
-    let (original_outcome, original_trace) = &traces[1];
-    assert_eq!(fused_outcome.total_blocks, original_outcome.total_blocks);
-    assert_eq!(fused_trace, original_trace, "event streams must be identical");
+    let (unfused_outcome, unfused_trace) = &traces[1];
+    assert_eq!(fused_outcome.total_blocks, unfused_outcome.total_blocks);
+    assert_eq!(fused_trace, unfused_trace, "event streams must be identical");
 }
 
 #[test]
-fn fused_const_const_matches_original() {
-    assert_fused_matches_original(
+fn fused_const_const_matches_unfused() {
+    assert_fused_matches_unfused(
         "func main() regs=3 {\n
          bb0:\n
            r0 = const 40\n
@@ -42,10 +43,10 @@ fn fused_const_const_matches_original() {
 }
 
 #[test]
-fn fused_add_load_matches_original() {
+fn fused_add_load_matches_unfused() {
     // store→add breaks fusion before the add, so add→load fuses; the load
     // must still emit its read event and see the stored cell.
-    assert_fused_matches_original(
+    assert_fused_matches_unfused(
         "func main() regs=6 {\n
          bb0:\n
            r0 = const 4\n
@@ -62,8 +63,8 @@ fn fused_add_load_matches_original() {
 }
 
 #[test]
-fn fused_add_add_matches_original() {
-    assert_fused_matches_original(
+fn fused_add_add_matches_unfused() {
+    assert_fused_matches_unfused(
         "func main() regs=3 {\n
          bb0:\n
            r0 = const 3\n
@@ -77,8 +78,8 @@ fn fused_add_add_matches_original() {
 }
 
 #[test]
-fn fused_const_add_matches_original() {
-    assert_fused_matches_original(
+fn fused_const_add_matches_unfused() {
+    assert_fused_matches_unfused(
         "func main() regs=4 {\n
          bb0:\n
            r0 = const 5\n
@@ -92,8 +93,8 @@ fn fused_const_add_matches_original() {
 }
 
 #[test]
-fn fused_const_cgt_matches_original() {
-    assert_fused_matches_original(
+fn fused_const_cgt_matches_unfused() {
+    assert_fused_matches_unfused(
         "func main() regs=4 {\n
          bb0:\n
            r0 = const 5\n
@@ -110,7 +111,7 @@ fn fused_const_cgt_matches_original() {
 fn fusion_survives_control_flow_back_edges() {
     // A counted loop whose body and header both contain fusable pairs;
     // block re-entry must re-dispatch from slot 0, never into a filler.
-    assert_fused_matches_original(
+    assert_fused_matches_unfused(
         "func main() regs=4 {\n
          bb0:\n
            r0 = const 0\n

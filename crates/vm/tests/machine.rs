@@ -1,10 +1,11 @@
 //! Integration tests for the guest machine: threading, synchronization,
 //! kernel I/O, determinism, and instrumentation-event delivery.
 
-use aprof_trace::{EventKind, RecordingTool, Tool};
+use aprof_trace::{EventKind, RecordingTool, ThreadId, Tool};
 use aprof_vm::builder::ProgramBuilder;
 use aprof_vm::device::{FileDevice, SinkDevice};
-use aprof_vm::{asm, Machine, MachineConfig, ResourceKind, ResourceLimits, VmError};
+use aprof_vm::ir::{FuncId, Reg};
+use aprof_vm::{asm, Machine, MachineConfig, ResourceKind, ResourceLimits, ResourceTrap, VmError};
 
 /// N workers each add their id into a shared cell under a lock; main joins
 /// them all and returns the cell.
@@ -246,6 +247,46 @@ fn unlimited_runs_report_no_trap() {
     let outcome = m.run_native().unwrap();
     assert_eq!(outcome.trap, None);
     assert_eq!(outcome.exit_value, Some(1 + 2 + 3));
+}
+
+/// Strict mode, per simple opcode: the instruction budget is charged first,
+/// then the source registers are checked in `Instr::uses_into` order (a
+/// store's address before its value), so a read of a register never written
+/// fails with `UseBeforeDef` naming it — unless the charge trapped first.
+#[test]
+fn strict_mode_checks_every_simple_op() {
+    enum Expect {
+        UseBeforeDef(u16),
+        BudgetTrap,
+    }
+    use Expect::*;
+    let free = u64::MAX; // no instruction budget
+    let cases = [
+        ("mov", "r1 = mov r0", free, UseBeforeDef(0)),
+        ("bin", "r2 = const 1\n r3 = sub r2, r1", free, UseBeforeDef(1)),
+        ("cmp", "r2 = const 1\n r3 = clt r1, r2", free, UseBeforeDef(1)),
+        ("load", "r1 = load r0, 0", free, UseBeforeDef(0)),
+        ("store value", "r2 = const 4\n r0 = alloc r2\n store r1, r0, 0", free, UseBeforeDef(1)),
+        ("store address", "r2 = const 4\n store r2, r0, 0", free, UseBeforeDef(0)),
+        ("store both", "store r1, r0, 0", free, UseBeforeDef(0)),
+        ("budget first", "r2 = const 1\n r3 = add r2, r1", 1, BudgetTrap),
+    ];
+    for (name, body, max_instructions, expect) in cases {
+        let src = format!("func main() regs=4 {{\nbb0:\n {body}\n ret\n}}");
+        let limits = ResourceLimits { max_instructions, trap: true, ..ResourceLimits::default() };
+        let cfg = MachineConfig { strict_regs: true, limits, ..MachineConfig::default() };
+        let mut m = Machine::new(asm::parse(&src).unwrap()).with_config(cfg);
+        match (m.run_native(), expect) {
+            (Err(VmError::UseBeforeDef { thread, func, reg }), UseBeforeDef(r)) => {
+                assert_eq!((thread, func, reg), (ThreadId::MAIN, FuncId(0), Reg(r)), "{name}");
+            }
+            (Ok(outcome), BudgetTrap) => {
+                let trap = outcome.trap.unwrap_or_else(|| panic!("{name}: no trap"));
+                assert_eq!(trap, ResourceTrap { resource: ResourceKind::Instructions, limit: 1 });
+            }
+            (got, _) => panic!("{name}: unexpected {got:?}"),
+        }
+    }
 }
 
 #[test]

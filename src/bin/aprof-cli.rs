@@ -1058,7 +1058,15 @@ fn cmd_replay(args: &[String]) -> i32 {
     if opts.positional.len() > 1 || opts.profile_out.is_some() {
         return replay_merged(&opts);
     }
-    let path = &opts.positional[0];
+    report_trace_file(&opts.positional[0], &opts)
+}
+
+/// Profiles one saved trace (wire or text, auto-detected) and reports it;
+/// returns the exit code. Wire traces stream chunk-by-chunk: the profile is
+/// computed in O(chunk) memory and routine names come from the embedded
+/// table. Text traces carry no routine names, so they report placeholder
+/// ids.
+fn report_trace_file(path: &str, opts: &Opts) -> i32 {
     let (file, is_wire) = match open_trace(path) {
         Ok(v) => v,
         Err(e) => {
@@ -1066,9 +1074,8 @@ fn cmd_replay(args: &[String]) -> i32 {
             return 1;
         }
     };
-    if is_wire {
-        // Wire traces stream chunk-by-chunk: the profile is computed in
-        // O(chunk) memory and routine names come from the embedded table.
+    let mut profiler = build_profiler(opts);
+    let names = if is_wire {
         let mut reader = match WireReader::new(file) {
             Ok(r) => r,
             Err(e) => {
@@ -1079,8 +1086,6 @@ fn cmd_replay(args: &[String]) -> i32 {
         if opts.strict {
             reader = reader.strict();
         }
-        let names = reader.routines().clone();
-        let mut profiler = build_profiler(&opts);
         if let Err(e) = profiler.consume_stream(&mut reader) {
             eprintln!("{e}");
             return 1;
@@ -1088,21 +1093,18 @@ fn cmd_replay(args: &[String]) -> i32 {
         for skipped in reader.skipped() {
             eprintln!("warning: skipped corrupt {skipped}");
         }
-        report_profiler(profiler, &names, &opts, None);
+        reader.routines().clone()
     } else {
-        let trace = match textio::from_reader(file) {
-            Ok(t) => t,
+        match textio::from_reader(file) {
+            Ok(trace) => trace.replay(&mut profiler),
             Err(e) => {
                 eprintln!("{e}");
                 return 1;
             }
-        };
-        // Routine names are not part of the text format; placeholder ids.
-        let names = RoutineTable::new();
-        let mut profiler = build_profiler(&opts);
-        trace.replay(&mut profiler);
-        report_profiler(profiler, &names, &opts, None);
-    }
+        }
+        RoutineTable::new()
+    };
+    report_profiler(profiler, &names, opts, None);
     0
 }
 
@@ -1197,52 +1199,11 @@ fn cmd_report(args: &[String]) -> i32 {
         return 0;
     }
     // Offline: render from a previously saved trace.
-    let Some(path) = opts.positional.get(1).cloned() else {
+    let Some(path) = opts.positional.get(1) else {
         eprintln!("report requires --workload NAME or a saved TRACE file");
         return 2;
     };
-    let (file, is_wire) = match open_trace(&path) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return 1;
-        }
-    };
-    if is_wire {
-        let mut reader = match WireReader::new(file) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{e}");
-                return 1;
-            }
-        };
-        if opts.strict {
-            reader = reader.strict();
-        }
-        let names = reader.routines().clone();
-        let mut profiler = build_profiler(&opts);
-        if let Err(e) = profiler.consume_stream(&mut reader) {
-            eprintln!("{e}");
-            return 1;
-        }
-        for skipped in reader.skipped() {
-            eprintln!("warning: skipped corrupt {skipped}");
-        }
-        report_profiler(profiler, &names, &opts, None);
-    } else {
-        let trace = match textio::from_reader(file) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{e}");
-                return 1;
-            }
-        };
-        let names = RoutineTable::new();
-        let mut profiler = build_profiler(&opts);
-        trace.replay(&mut profiler);
-        report_profiler(profiler, &names, &opts, None);
-    }
-    0
+    report_trace_file(path, &opts)
 }
 
 fn cmd_trace_info(args: &[String]) -> i32 {

@@ -29,6 +29,22 @@ fn fuzz_smoke_passes_all_oracles() {
     assert!(!out.contains("FAIL"), "{out}");
 }
 
+/// The corpus digest is a fixed point: interpreter refactors must not move
+/// it. These are the digests of `fuzz --seed 1 --cases 32` per profile.
+#[test]
+fn fuzz_digests_are_pinned_per_profile() {
+    for (profile, digest) in [
+        ("mixed", "485d518af0d0d657"),
+        ("sequential", "eec261175d178cb7"),
+        ("concurrent", "f4ce0c564c51752f"),
+        ("kernel", "9b7bd36ef8b11112"),
+    ] {
+        let out = run_ok(&["fuzz", "--seed", "1", "--cases", "32", "--profile", profile]);
+        let expected = format!("32/32 cases passed, digest {digest}\n");
+        assert!(out.contains(&expected), "profile {profile} moved its digest:\n{out}");
+    }
+}
+
 #[test]
 fn fuzz_output_is_byte_identical_across_jobs() {
     let reference = run_ok(&["fuzz", "--seed", "7", "--cases", "24", "--jobs", "1"]);
