@@ -299,8 +299,8 @@ pub fn chaos_smoke_with(seed: u64, cases: usize) -> Result<String, String> {
     }
     let oracle = |tenant: &str| -> Result<String, String> {
         let mut reports = Vec::new();
-        // Stream ids are `s-<i>`; lexicographic id order == index order
-        // (zero-padded), which is the daemon's merge order.
+        // The merge ignores order, so the daemon's commit order, which
+        // the chaos plan scrambles, need not be reproduced here.
         for (i, trace) in traces.iter().enumerate() {
             if tenant_of(i) == tenant {
                 reports.push(replay(trace)?);

@@ -28,13 +28,15 @@ pub struct CostStats {
     pub max: u64,
     /// Sum of costs (for average-cost plots).
     pub sum: u64,
-    /// Sum of squared costs (for variance estimates).
-    pub sum_sq: f64,
+    /// Sum of squared costs (for variance estimates). An exact integer,
+    /// saturating at `u128::MAX`, so that merging statistics gives the same
+    /// value in any order and any grouping.
+    pub sum_sq: u128,
 }
 
 impl Default for CostStats {
     fn default() -> Self {
-        CostStats { count: 0, min: u64::MAX, max: 0, sum: 0, sum_sq: 0.0 }
+        CostStats { count: 0, min: u64::MAX, max: 0, sum: 0, sum_sq: 0 }
     }
 }
 
@@ -45,7 +47,7 @@ impl CostStats {
         self.min = self.min.min(cost);
         self.max = self.max.max(cost);
         self.sum += cost;
-        self.sum_sq += (cost as f64) * (cost as f64);
+        self.sum_sq = self.sum_sq.saturating_add(u128::from(cost) * u128::from(cost));
     }
 
     /// Mean cost.
@@ -65,20 +67,17 @@ impl CostStats {
             return 0.0;
         }
         let m = self.mean();
-        (self.sum_sq / self.count as f64 - m * m).max(0.0)
+        (self.sum_sq as f64 / self.count as f64 - m * m).max(0.0)
     }
 
     /// Merges another statistics value (e.g. the same input size observed on
     /// a different thread) into this one.
     pub fn merge(&mut self, other: &CostStats) {
-        if other.count == 0 {
-            return;
-        }
         self.count += other.count;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
+        self.sum_sq = self.sum_sq.saturating_add(other.sum_sq);
     }
 }
 
@@ -291,7 +290,7 @@ impl GlobalStats {
 }
 
 /// The complete output of a profiling session.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileReport {
     /// Name of the tool that produced the report.
     pub tool: String,
@@ -340,7 +339,9 @@ impl ProfileReport {
         self.routines.iter().find(|r| r.name == name)
     }
 
-    /// Combines the reports of independent runs into one aggregate.
+    /// Combines the reports of independent runs into one aggregate: a fold
+    /// of [`ProfileReport::absorb`] over `reports`, starting from an empty
+    /// report.
     ///
     /// Routines are matched **by name** (two runs of the same program may
     /// intern routines in different orders), per-thread profiles by thread
@@ -348,51 +349,74 @@ impl ProfileReport {
     /// routine ids in lexicographic-name order, so the result is independent
     /// of the input runs' id assignment.
     ///
-    /// Because [`CostStats::sum_sq`] is a floating-point sum, merging is
-    /// order-sensitive at the ULP level: callers that need byte-identical
-    /// aggregates (e.g. the service daemon and its one-shot CLI oracle) must
-    /// pass `reports` in the same order on both sides.
+    /// Every statistic merges by an exact, commutative and associative
+    /// operation ([`CostStats::sum_sq`] is an integer), so the result does
+    /// not depend on the order of `reports` or on how they were grouped
+    /// into earlier merges.
     ///
-    /// An empty slice yields an empty report; the `tool` label is taken from
-    /// the first report.
+    /// An empty slice yields an empty report; the `tool` label is the first
+    /// non-empty label among `reports`.
     #[must_use]
     pub fn merge(reports: &[ProfileReport]) -> ProfileReport {
-        let mut by_name: BTreeMap<&str, (RoutineThreadProfile, BTreeMap<u32, RoutineThreadProfile>)> =
-            BTreeMap::new();
-        let mut global = GlobalStats::default();
+        let mut merged = ProfileReport::default();
         for report in reports {
-            global.accumulate(&report.global);
-            for routine in &report.routines {
-                let entry = by_name.entry(routine.name.as_str()).or_default();
-                entry.0.merge(&routine.merged);
-                for (&thread, profile) in &routine.per_thread {
-                    entry.1.entry(thread).or_default().merge(profile);
+            merged.absorb(report);
+        }
+        merged
+    }
+
+    /// Folds `other` into `self`, leaving `self` equal to
+    /// `ProfileReport::merge(&[self, other])`. Once `self` is in merged
+    /// form (routines in name order with dense ids, as every merge leaves
+    /// it), the cost is that of walking `other`, whatever `self` holds.
+    pub fn absorb(&mut self, other: &ProfileReport) {
+        let merged_form = self.routines.iter().enumerate().all(|(i, r)| r.routine == i as u32)
+            && self.routines.windows(2).all(|w| w[0].name < w[1].name);
+        if !merged_form {
+            let raw = std::mem::take(self);
+            self.absorb(&raw);
+        }
+        if self.tool.is_empty() {
+            self.tool.clone_from(&other.tool);
+        }
+        self.global.accumulate(&other.global);
+        let mut added = false;
+        for routine in &other.routines {
+            let at = match self.routines.binary_search_by(|r| r.name.as_str().cmp(&routine.name)) {
+                Ok(at) => at,
+                Err(at) => {
+                    self.routines.insert(
+                        at,
+                        RoutineReport {
+                            routine: 0,
+                            name: routine.name.clone(),
+                            merged: RoutineThreadProfile::default(),
+                            per_thread: BTreeMap::new(),
+                        },
+                    );
+                    added = true;
+                    at
                 }
+            };
+            let entry = &mut self.routines[at];
+            entry.merged.merge(&routine.merged);
+            for (&thread, profile) in &routine.per_thread {
+                entry.per_thread.entry(thread).or_default().merge(profile);
             }
         }
-        ProfileReport {
-            tool: reports.first().map(|r| r.tool.clone()).unwrap_or_default(),
-            routines: by_name
-                .into_iter()
-                .enumerate()
-                .map(|(id, (name, (merged, per_thread)))| RoutineReport {
-                    routine: id as u32,
-                    name: name.to_owned(),
-                    merged,
-                    per_thread,
-                })
-                .collect(),
-            global,
+        if added {
+            for (id, routine) in self.routines.iter_mut().enumerate() {
+                routine.routine = id as u32;
+            }
         }
     }
 
     /// Renders the report as a stable, versioned text form suitable for
     /// byte-for-byte comparison between independently produced aggregates.
     ///
-    /// Every counter and every point of every trms/rms curve is included;
-    /// the floating-point `sum_sq` accumulators are printed as exact bit
-    /// patterns so that equality of the text implies equality of the data
-    /// (not merely of some rounded rendering).
+    /// Every counter and every point of every trms/rms curve is included.
+    /// Each `sum_sq` prints as the bit pattern of its nearest `f64`, which
+    /// is the value itself while it stays below 2^53.
     #[must_use]
     pub fn to_canonical_text(&self) -> String {
         use std::fmt::Write as _;
@@ -418,7 +442,7 @@ impl ProfileReport {
                         stats.min,
                         stats.max,
                         stats.sum,
-                        stats.sum_sq.to_bits()
+                        (stats.sum_sq as f64).to_bits()
                     );
                 }
             }

@@ -25,13 +25,14 @@
 //!   the daemon replays the spool, so acknowledged data survives a kill at
 //!   any instant, and re-submitting a committed stream id is an idempotent
 //!   duplicate.
-//! * **Determinism.** A tenant's aggregate is the
-//!   [`ProfileReport::merge`](aprof_core::ProfileReport::merge) of its
-//!   committed streams in lexicographic stream-id order, which makes it
-//!   byte-identical (via
+//! * **Determinism.** Each tenant keeps one running aggregate: every
+//!   commit folds its stream in with
+//!   [`ProfileReport::absorb`](aprof_core::ProfileReport::absorb), and no
+//!   per-stream report outlives its commit. Merging is exact and ignores
+//!   order, so the aggregate is byte-identical (via
 //!   [`ProfileReport::to_canonical_text`](aprof_core::ProfileReport::to_canonical_text))
-//!   to a
-//!   one-shot `aprof-cli replay` of the same traces in sorted order.
+//!   to a one-shot `aprof-cli replay` of the same traces in any order,
+//!   whatever order the streams committed or were recovered in.
 //! * **Live endpoints.** The same sockets answer `obs.json`, tenant
 //!   listings, canonical profiles and HTML reports — over the line
 //!   protocol or plain HTTP `GET`.

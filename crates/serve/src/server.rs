@@ -90,10 +90,7 @@ impl Server {
         let plan = cfg.fault_plan();
         let spool = Spool::open(&cfg.spool, plan)?;
         let registry = Registry::new(&cfg);
-        let (recovered, damaged) = spool.recover()?;
-        for s in recovered {
-            registry.restore(&s.tenant, &s.stream, s.report, s.events, bytes_to_cells(s.bytes));
-        }
+        let damaged = spool.recover(&registry)?;
         let breakers = BreakerBank::new(cfg.breaker);
         let shared = Arc::new(Shared {
             registry,
@@ -639,13 +636,14 @@ fn ingest(
 
     let report = profiler.into_report(&names);
     let cells = bytes_to_cells(copied);
-    // In-memory commit first (it can refuse on the spool-cells quota),
-    // durable rename second, ack last — see `spool` module docs for why
-    // this ordering keeps acknowledged data loss at zero.
-    shared.registry.commit(tenant, stream, report, events, cells)?;
+    // Quota reservation first (it can refuse), durable rename second,
+    // aggregation third, ack last — see `spool` module docs for why this
+    // ordering keeps acknowledged data loss at zero.
+    shared.registry.reserve(tenant, events, cells)?;
     if let Err(e) = shared.spool.commit(tenant, stream) {
-        shared.registry.evict(tenant, stream, events, cells);
+        shared.registry.unreserve(tenant, events, cells);
         return Err(e);
     }
+    shared.registry.commit(tenant, stream, &report, events);
     Ok((events, chunks))
 }

@@ -5,17 +5,21 @@
 //! sequence is
 //!
 //! 1. flush + `sync_data` the `.part` file (bytes durable),
-//! 2. rename `.part` → `.wire` (atomic commit point),
-//! 3. `sync_data` the tenant directory (rename durable),
-//! 4. fold the profile into the in-memory aggregate,
-//! 5. acknowledge the client.
+//! 2. reserve the stream's events and spool cells in the registry (the
+//!    spool-cells quota can refuse here),
+//! 3. rename `.part` → `.wire` (atomic commit point),
+//! 4. `sync_data` the tenant directory (rename durable),
+//! 5. fold the profile into the in-memory aggregate,
+//! 6. acknowledge the client.
 //!
-//! Because the ack comes last, every acknowledged stream has a durable
-//! `.wire` file; a daemon killed between (3) and (5) re-aggregates the
-//! stream on restart and answers the client's retry with an idempotent
-//! duplicate ack. `.part` leftovers are un-acknowledged by construction
-//! and are deleted during recovery.
+//! A failure at (3) or (4) only hands the reservation back: the aggregate
+//! never held the stream. Because the ack comes last, every acknowledged
+//! stream has a durable `.wire` file; a daemon killed between (4) and (6)
+//! re-aggregates the stream on restart and answers the client's retry
+//! with an idempotent duplicate ack. `.part` leftovers are
+//! un-acknowledged by construction and are deleted during recovery.
 
+use crate::tenant::Registry;
 use crate::{ServeError, valid_name};
 use aprof_core::{ProfileReport, TrmsProfiler};
 use aprof_faults::FaultPlan;
@@ -42,18 +46,6 @@ pub(crate) fn name_ordinal(tenant: &str, stream: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
-}
-
-/// What startup recovery found: replayable streams plus damaged files.
-pub(crate) type RecoveryOutcome = (Vec<RecoveredStream>, Vec<(PathBuf, ServeError)>);
-
-/// One stream replayed from the spool during startup recovery.
-pub(crate) struct RecoveredStream {
-    pub tenant: String,
-    pub stream: String,
-    pub report: ProfileReport,
-    pub events: u64,
-    pub bytes: u64,
 }
 
 impl Spool {
@@ -86,8 +78,8 @@ impl Spool {
     /// Atomically promotes a synced `.part` to `.wire` and makes the rename
     /// itself durable. This is the commit point of the ingest path. A
     /// failure here (e.g. disk full — injectable via the fault plan's
-    /// rename class) leaves the `.part` in place; the caller rolls the
-    /// in-memory commit back so no half-committed stream is ever latched.
+    /// rename class) leaves the `.part` in place; the caller hands back
+    /// its registry reservation, so no half-committed stream is latched.
     pub(crate) fn commit(&self, tenant: &str, stream: &str) -> Result<(), ServeError> {
         if let Some(e) = self.plan.rename_fault(name_ordinal(tenant, stream)) {
             return Err(e.into());
@@ -102,15 +94,15 @@ impl Spool {
         let _ = fs::remove_file(self.part_path(tenant, stream));
     }
 
-    /// Replays every committed stream back into profiles and deletes
-    /// un-acknowledged `.part` leftovers. Streams come back sorted by
-    /// `(tenant, stream)` so callers rebuild aggregates deterministically.
-    ///
-    /// A `.wire` file that fails strict validation is reported in the
-    /// second return slot and left on disk for inspection — it is *not*
-    /// silently dropped from the data-loss accounting.
-    pub(crate) fn recover(&self) -> Result<RecoveryOutcome, ServeError> {
-        let mut streams = Vec::new();
+    /// Replays every committed stream into `registry`, one at a time as
+    /// it is decoded, and deletes un-acknowledged `.part` leftovers.
+    /// Returns the damaged files: a `.wire` file that fails strict
+    /// validation is reported and left on disk for inspection — it is
+    /// *not* silently dropped from the data-loss accounting.
+    pub(crate) fn recover(
+        &self,
+        registry: &Registry,
+    ) -> Result<Vec<(PathBuf, ServeError)>, ServeError> {
         let mut damaged = Vec::new();
         let mut tenants: Vec<PathBuf> = fs::read_dir(&self.dir)?
             .filter_map(|e| e.ok())
@@ -123,7 +115,6 @@ impl Spool {
             if !valid_name(tenant) {
                 continue;
             }
-            let tenant = tenant.to_owned();
             let mut files: Vec<PathBuf> = fs::read_dir(&tenant_dir)?
                 .filter_map(|e| e.ok())
                 .map(|e| e.path())
@@ -144,19 +135,13 @@ impl Spool {
                 match replay_wire(&path) {
                     Ok((report, events, bytes)) => {
                         counters::SERVE_RECOVERED_STREAMS.incr();
-                        streams.push(RecoveredStream {
-                            tenant: tenant.clone(),
-                            stream: stream.to_owned(),
-                            report,
-                            events,
-                            bytes,
-                        });
+                        registry.restore(tenant, stream, &report, events, bytes_to_cells(bytes));
                     }
                     Err(e) => damaged.push((path, e)),
                 }
             }
         }
-        Ok((streams, damaged))
+        Ok(damaged)
     }
 }
 

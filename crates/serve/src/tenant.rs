@@ -5,7 +5,7 @@ use aprof_core::ProfileReport;
 use aprof_obs::counters;
 use aprof_vm::ResourceLimits;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// One tenant's committed state plus its in-flight accounting.
@@ -19,14 +19,17 @@ struct TenantState {
     /// commit; later arrivals wait out the first and then resolve as a
     /// duplicate or a fresh admission.
     active: BTreeSet<String>,
-    /// Events aggregated over all committed streams.
+    /// Events of committed streams plus those reserved by streams between
+    /// their quota check and their durable rename.
     events_total: u64,
-    /// Spool footprint of committed streams, in 8-byte cells.
+    /// Spool footprint of committed and reserved streams, in 8-byte cells.
     spooled_cells: u64,
-    /// Committed per-stream profiles, keyed by stream id. BTreeMap order
-    /// (lexicographic) fixes the merge order, which fixes the aggregate's
-    /// canonical bytes.
-    reports: BTreeMap<String, ProfileReport>,
+    /// Ids of the committed streams.
+    committed: BTreeSet<String>,
+    /// The committed streams' profiles, merged. Queries clone the `Arc`
+    /// and render outside the lock; a commit copies the report only while
+    /// such a clone is still alive.
+    aggregate: Arc<ProfileReport>,
 }
 
 /// A row of the `TENANTS` listing.
@@ -95,7 +98,7 @@ impl Registry {
         let mut stalled = false;
         loop {
             let state = inner.entry(tenant.to_owned()).or_default();
-            if state.reports.contains_key(stream) {
+            if state.committed.contains(stream) {
                 return Ok(Admission::Duplicate);
             }
             if state.events_total >= self.quota.max_instructions {
@@ -140,17 +143,11 @@ impl Registry {
         self.cv.notify_all();
     }
 
-    /// Folds a validated, durably spooled stream into its tenant. Enforces
-    /// the spool-cells quota; a refusal here means the caller must undo the
-    /// spool commit (the file was renamed but not yet acknowledged).
-    pub(crate) fn commit(
-        &self,
-        tenant: &str,
-        stream: &str,
-        report: ProfileReport,
-        events: u64,
-        cells: u64,
-    ) -> Result<(), ServeError> {
+    /// Reserves a validated stream's events and spool cells before its
+    /// durable rename, enforcing the spool-cells quota. A failed rename
+    /// hands the reservation back with [`Registry::unreserve`]; a
+    /// successful one is followed by [`Registry::commit`].
+    pub(crate) fn reserve(&self, tenant: &str, events: u64, cells: u64) -> Result<(), ServeError> {
         let mut inner = self.lock();
         let state = inner.entry(tenant.to_owned()).or_default();
         if state.spooled_cells.saturating_add(cells) > self.quota.max_alloc_cells {
@@ -162,50 +159,60 @@ impl Registry {
         }
         state.events_total += events;
         state.spooled_cells += cells;
-        state.reports.insert(stream.to_owned(), report);
-        counters::SERVE_STREAMS_COMMITTED.incr();
-        counters::SERVE_EVENTS_AGGREGATED.add(events);
-        let active = inner.values().filter(|t| !t.reports.is_empty()).count() as u64;
-        counters::SERVE_ACTIVE_TENANTS.store(active);
         Ok(())
     }
 
-    /// Undoes a [`Registry::commit`] whose durable rename failed, so the
-    /// in-memory aggregate never leads a spool that cannot catch up.
-    pub(crate) fn evict(&self, tenant: &str, stream: &str, events: u64, cells: u64) {
-        let mut inner = self.lock();
-        if let Some(state) = inner.get_mut(tenant) {
-            if state.reports.remove(stream).is_some() {
-                state.events_total = state.events_total.saturating_sub(events);
-                state.spooled_cells = state.spooled_cells.saturating_sub(cells);
-            }
+    /// Hands back a [`Registry::reserve`] whose durable rename failed.
+    pub(crate) fn unreserve(&self, tenant: &str, events: u64, cells: u64) {
+        if let Some(state) = self.lock().get_mut(tenant) {
+            state.events_total = state.events_total.saturating_sub(events);
+            state.spooled_cells = state.spooled_cells.saturating_sub(cells);
         }
-        let active = inner.values().filter(|t| !t.reports.is_empty()).count() as u64;
-        counters::SERVE_ACTIVE_TENANTS.store(active);
+    }
+
+    /// Folds a reserved stream, now durably renamed, into its tenant's
+    /// aggregate. The caller still holds the stream's in-flight slot, so a
+    /// retry of the same id waits until the id is committed here.
+    pub(crate) fn commit(&self, tenant: &str, stream: &str, report: &ProfileReport, events: u64) {
+        let mut inner = self.lock();
+        let state = inner.entry(tenant.to_owned()).or_default();
+        Arc::make_mut(&mut state.aggregate).absorb(report);
+        state.committed.insert(stream.to_owned());
+        counters::SERVE_STREAMS_COMMITTED.incr();
+        counters::SERVE_EVENTS_AGGREGATED.add(events);
+        Self::count_active(&inner);
     }
 
     /// Re-installs a stream recovered from the spool (no quota checks — it
     /// was already admitted and committed in a previous life).
-    pub(crate) fn restore(&self, tenant: &str, stream: &str, report: ProfileReport, events: u64, cells: u64) {
+    pub(crate) fn restore(
+        &self,
+        tenant: &str,
+        stream: &str,
+        report: &ProfileReport,
+        events: u64,
+        cells: u64,
+    ) {
         let mut inner = self.lock();
         let state = inner.entry(tenant.to_owned()).or_default();
         state.events_total += events;
         state.spooled_cells += cells;
-        state.reports.insert(stream.to_owned(), report);
-        let active = inner.values().filter(|t| !t.reports.is_empty()).count() as u64;
+        Arc::make_mut(&mut state.aggregate).absorb(report);
+        state.committed.insert(stream.to_owned());
+        Self::count_active(&inner);
+    }
+
+    fn count_active(inner: &BTreeMap<String, TenantState>) {
+        let active = inner.values().filter(|t| !t.committed.is_empty()).count() as u64;
         counters::SERVE_ACTIVE_TENANTS.store(active);
     }
 
-    /// The tenant's aggregate: committed stream profiles merged in
-    /// lexicographic stream-id order. `None` for unknown/empty tenants.
-    pub(crate) fn aggregate(&self, tenant: &str) -> Option<ProfileReport> {
+    /// The tenant's aggregate over its committed streams. `None` for
+    /// unknown/empty tenants.
+    pub(crate) fn aggregate(&self, tenant: &str) -> Option<Arc<ProfileReport>> {
         let inner = self.lock();
         let state = inner.get(tenant)?;
-        if state.reports.is_empty() {
-            return None;
-        }
-        let reports: Vec<ProfileReport> = state.reports.values().cloned().collect();
-        Some(ProfileReport::merge(&reports))
+        (!state.committed.is_empty()).then(|| Arc::clone(&state.aggregate))
     }
 
     /// All tenants, in name order.
@@ -214,7 +221,7 @@ impl Registry {
             .iter()
             .map(|(tenant, state)| TenantSummary {
                 tenant: tenant.clone(),
-                streams: state.reports.len(),
+                streams: state.committed.len(),
                 events: state.events_total,
                 spooled_cells: state.spooled_cells,
                 in_flight: state.in_flight,
@@ -261,5 +268,43 @@ impl SlotGuard<'_> {
 impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
         self.registry.release(&self.tenant, &self.stream);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn retry_in_the_commit_window_waits_then_is_admitted_fresh() {
+        let registry = Registry::new(&ServeConfig::new("unused-spool"));
+        let Ok(Admission::Slot(first)) = registry.admit("web", "s-1") else {
+            panic!("the first submission must get a slot");
+        };
+        // The stream validated and reserved its quota; its durable rename
+        // has not happened yet.
+        registry.reserve("web", 10, 4).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let retry = &registry;
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let fresh = matches!(retry.admit("web", "s-1"), Ok(Admission::Slot(_)));
+                tx.send(fresh).unwrap();
+            });
+            assert!(
+                rx.recv_timeout(Duration::from_millis(200)).is_err(),
+                "a retry was answered before its stream was durable"
+            );
+            // The rename failed: the reservation goes back, the slot frees.
+            registry.unreserve("web", 10, 4);
+            drop(first);
+            assert!(
+                rx.recv().unwrap(),
+                "the retry must be admitted fresh, not acked as a duplicate"
+            );
+        });
+        let web = &registry.summaries()[0];
+        assert_eq!((web.streams, web.events, web.spooled_cells), (0, 0, 0));
     }
 }

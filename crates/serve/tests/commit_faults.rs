@@ -2,9 +2,10 @@
 //! pipeline — `.part` writes, the pre-rename fsync, and the durable
 //! rename itself — asserting the same contract at every stage: the client
 //! gets a clean `ERR`, nothing is left in the spool, the tenant aggregate
-//! never contains the stream, and (for the post-registry rename stage) the
-//! in-memory commit is rolled back so a later clean daemon on the same
-//! spool can accept the stream as *new*, not as a duplicate.
+//! never contains the stream, and (for the rename stage, which follows the
+//! registry's quota reservation) the reservation is handed back so a later
+//! clean daemon on the same spool can accept the stream as *new*, not as a
+//! duplicate.
 
 use aprof_faults::FaultConfig;
 use aprof_serve::{client, ServeConfig, Server, Target};
@@ -105,9 +106,9 @@ fn disk_full_during_fsync_rolls_back() {
 #[test]
 fn disk_full_during_rename_rolls_back_registry_commit() {
     aprof_obs::enable();
-    // The rename stage is the interesting one: the in-memory registry
-    // commit has already happened when the rename fails, so this pins the
-    // evict path specifically.
+    // The rename stage is the interesting one: the registry has already
+    // reserved the stream's quota when the rename fails, so this pins the
+    // hand-back path specifically.
     let injected_before =
         aprof_obs::snapshot().counter("faults.injected_commit_errors").unwrap_or(0);
     assert_stage_rolls_back(

@@ -9,7 +9,7 @@
 use aprof_core::{ProfileReport, TrmsProfiler};
 use aprof_faults::FaultConfig;
 use aprof_serve::{client, RetryPolicy, ServeConfig, ServeError, Server, Target};
-use aprof_trace::NullTool;
+use aprof_trace::{Event, NullTool, RoutineTable, ThreadId};
 use aprof_vm::ResourceLimits;
 use aprof_wire::{WireOptions, WireReader, WireWriter};
 use aprof_workloads::{by_name, WorkloadParams};
@@ -176,14 +176,57 @@ fn concurrent_tenants_are_byte_identical_to_one_shot_replay() {
         }
     });
 
-    // Expected: per-tenant merge of the one-shot replays in sorted
-    // stream-id order (s-000 < s-002, s-001 < s-003) — the order the
-    // daemon's aggregate uses regardless of arrival interleaving.
+    // Expected: per-tenant merge of the one-shot replays, whatever the
+    // arrival interleaving (s-000 and s-002 to alpha, s-001 and s-003 to
+    // beta).
     let alpha = oracle_text(&[&traces[0], &traces[2]]);
     let beta = oracle_text(&[&traces[1], &traces[3]]);
     assert_eq!(client::fetch_profile(&target, "alpha").unwrap(), alpha);
     assert_eq!(client::fetch_profile(&target, "beta").unwrap(), beta);
 
+    server.shutdown(false);
+    server.wait().unwrap();
+}
+
+/// A wire trace of one activation of `f` that costs `cost` blocks.
+fn one_activation(cost: u64) -> Vec<u8> {
+    let mut names = RoutineTable::new();
+    let f = names.intern("f");
+    let mut writer = WireWriter::create(Vec::new(), &names, WireOptions::default()).unwrap();
+    for event in
+        [Event::Call { routine: f }, Event::BasicBlock { cost }, Event::Return { routine: f }]
+    {
+        writer.push(ThreadId::new(0), event).unwrap();
+    }
+    writer.finish().unwrap().0
+}
+
+#[test]
+fn out_of_order_commits_past_2_53_match_the_one_shot_merge() {
+    aprof_obs::enable();
+    let dir = scratch("order");
+    let (cfg, target) = unix_config(&dir);
+    // The three squares pass 2^60. Added as f64 in commit order (s-2, s-0,
+    // s-1) they round to one ULP more than in stream-id order.
+    let traces: Vec<Vec<u8>> = [0, 12, 20].iter().map(|k| one_activation((1 << 30) + k)).collect();
+    let expected = oracle_text(&[&traces[0], &traces[1], &traces[2]]);
+    {
+        let server = Server::start(cfg.clone()).unwrap();
+        for i in [2, 0, 1] {
+            client::submit(&target, "web", &format!("s-{i}"), &mut &traces[i][..]).unwrap();
+        }
+        assert_eq!(client::fetch_profile(&target, "web").unwrap(), expected);
+        let dup = client::submit(&target, "web", "s-0", &mut &traces[0][..]).unwrap();
+        assert!(dup.duplicate);
+        assert_eq!(client::fetch_profile(&target, "web").unwrap(), expected);
+        let tenants = client::fetch_tenants(&target).unwrap();
+        assert!(tenants.contains("web streams=3"), "unexpected listing: {tenants}");
+        server.shutdown(false);
+        server.wait().unwrap();
+    }
+    let server = Server::start(cfg).unwrap();
+    assert!(server.damaged.is_empty());
+    assert_eq!(client::fetch_profile(&target, "web").unwrap(), expected);
     server.shutdown(false);
     server.wait().unwrap();
 }

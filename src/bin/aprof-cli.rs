@@ -1053,8 +1053,7 @@ fn cmd_replay(args: &[String]) -> i32 {
         return 2;
     }
     // Several traces (or an explicit `--profile-out`) take the merge path:
-    // replay each wire trace, then merge in argument order — pass traces
-    // in sorted stream-id order to match a service tenant's aggregate.
+    // replay each wire trace, then merge them.
     if opts.positional.len() > 1 || opts.profile_out.is_some() {
         return replay_merged(&opts);
     }
@@ -1108,12 +1107,12 @@ fn report_trace_file(path: &str, opts: &Opts) -> i32 {
     0
 }
 
-/// The merge path of `cmd_replay`: one profile per wire trace, merged in
-/// argument order. `ProfileReport::merge` is also what a service tenant's
-/// aggregate uses, so replaying a tenant's spooled streams in sorted
-/// stream-id order reproduces its `PROFILE` endpoint byte for byte.
+/// The merge path of `cmd_replay`: one profile per wire trace, merged.
+/// The merge ignores order, and a service tenant's aggregate folds its
+/// streams by the same rule, so replaying a tenant's spooled streams in any
+/// order reproduces its `PROFILE` endpoint byte for byte.
 fn replay_merged(opts: &Opts) -> i32 {
-    let mut reports = Vec::new();
+    let mut merged = ProfileReport::default();
     for path in &opts.positional {
         let (file, is_wire) = match open_trace(path) {
             Ok(v) => v,
@@ -1145,9 +1144,8 @@ fn replay_merged(opts: &Opts) -> i32 {
         for skipped in reader.skipped() {
             eprintln!("warning: {path}: skipped corrupt {skipped}");
         }
-        reports.push(profiler.into_report(&names));
+        merged.absorb(&profiler.into_report(&names));
     }
-    let merged = ProfileReport::merge(&reports);
     print_summary(&merged, opts);
     if let Some(path) = &opts.profile_out {
         match std::fs::write(path, merged.to_canonical_text()) {
