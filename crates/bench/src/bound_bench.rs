@@ -9,26 +9,14 @@
 //! across the whole registry.
 
 use crate::driver::Json;
+use crate::best_of;
 use aprof_bound::{infer_program, Bound};
 use aprof_workloads::{all, by_name, WorkloadParams};
-use std::time::Instant;
 
 /// The reference workload analyzed for the headline number. `mysqld` is
 /// the largest program in the registry: the most functions, blocks and
 /// loop structure, so it exercises every analysis phase.
 const WORKLOAD: &str = "mysqld";
-
-/// Best-of-`n` wall-clock for `f`, in seconds.
-fn best_of<F: FnMut()>(n: usize, mut f: F) -> f64 {
-    (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-        .max(1e-9)
-}
 
 /// Generates the `BENCH_bound.json` report.
 ///

@@ -26,11 +26,11 @@
 //!   and (for the default seed) panics were supervised, load was shed,
 //!   and network faults actually fired — a quiet run would be vacuous.
 
-use aprof_core::{ProfileReport, TrmsProfiler};
+use aprof_core::ProfileReport;
 use aprof_faults::{jittered_backoff, FaultConfig, NetFaultConfig, NetFaultCounts, NetFaultPlan};
-use aprof_serve::{client, BreakerConfig, ServeConfig, Server, Target};
+use aprof_serve::{client, one_shot_profile, BreakerConfig, ServeConfig, Server, Target};
 use aprof_trace::RecordingTool;
-use aprof_wire::{WireOptions, WireReader, WireWriter};
+use aprof_wire::{WireOptions, WireWriter};
 use aprof_workloads::{by_name, WorkloadParams};
 use std::fmt::Write as _;
 use std::io::{Read, Write};
@@ -94,19 +94,6 @@ fn record(name: &str, size: u64) -> Result<Vec<u8>, String> {
         writer.push(te.thread, te.event).map_err(|e| format!("push: {e}"))?;
     }
     Ok(writer.finish().map_err(|e| format!("finish: {e}"))?.0)
-}
-
-/// One-shot strict replay of a trace into its profile.
-fn replay(bytes: &[u8]) -> Result<ProfileReport, String> {
-    let mut reader =
-        WireReader::new(bytes).map_err(|e| format!("reader: {e}"))?.strict();
-    let mut profiler = TrmsProfiler::new();
-    profiler.consume_stream(&mut reader).map_err(|e| format!("replay: {e}"))?;
-    if reader.index().is_none() {
-        return Err("trace has no validated index".into());
-    }
-    let names = reader.routines().clone();
-    Ok(profiler.into_report(&names))
 }
 
 fn tenant_of(i: usize) -> &'static str {
@@ -303,7 +290,7 @@ pub fn chaos_smoke_with(seed: u64, cases: usize) -> Result<String, String> {
         // the chaos plan scrambles, need not be reproduced here.
         for (i, trace) in traces.iter().enumerate() {
             if tenant_of(i) == tenant {
-                reports.push(replay(trace)?);
+                reports.push(one_shot_profile(&trace[..]).map_err(|e| format!("replay: {e}"))?.0);
             }
         }
         Ok(ProfileReport::merge(&reports).to_canonical_text())

@@ -8,6 +8,7 @@
 //! the check could delay.
 
 use crate::driver::Json;
+use crate::{bench_size, best_of};
 use aprof_check::check_program;
 use aprof_trace::RecordingTool;
 use aprof_workloads::{by_name, WorkloadParams};
@@ -17,22 +18,6 @@ use std::time::Instant;
 /// largest program in the registry: the most functions, blocks and
 /// concurrency structure, so it exercises every analysis pass.
 const WORKLOAD: &str = "mysqld";
-
-fn bench_size() -> u64 {
-    std::env::var("APROF_BENCH_SIZE").ok().and_then(|v| v.parse().ok()).unwrap_or(192)
-}
-
-/// Best-of-`n` wall-clock for `f`, in seconds.
-fn best_of<F: FnMut()>(n: usize, mut f: F) -> f64 {
-    (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-        .max(1e-9)
-}
 
 /// Generates the `BENCH_check.json` report.
 ///

@@ -90,3 +90,22 @@ pub fn run_experiments(ids: &[&str]) -> Result<Vec<FigureOutput>, String> {
     let results = driver::par_map(ids, |id| run_experiment(id));
     results.into_iter().collect()
 }
+
+/// Workload size of the `BENCH_*.json` measurements and Table 1:
+/// `APROF_BENCH_SIZE`, default 192.
+pub(crate) fn bench_size() -> u64 {
+    std::env::var("APROF_BENCH_SIZE").ok().and_then(|v| v.parse().ok()).unwrap_or(192)
+}
+
+/// Best-of-`n` wall-clock for `f`, in seconds: the minimum filters
+/// scheduler noise out of the `BENCH_*.json` timings.
+pub(crate) fn best_of<F: FnMut()>(n: usize, mut f: F) -> f64 {
+    (0..n)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+        .max(1e-9)
+}

@@ -9,9 +9,9 @@
 //! once at profiler finish).
 
 use crate::driver::Json;
+use crate::{bench_size, best_of};
 use aprof_core::TrmsProfiler;
 use aprof_workloads::{by_name, WorkloadParams};
-use std::time::Instant;
 
 /// The reference workload. `350.md` is the molecular-dynamics analog:
 /// address-heavy and multi-threaded, so the per-event hook cost dominates.
@@ -19,22 +19,6 @@ const WORKLOAD: &str = "350.md";
 
 /// Timed runs per configuration; best-of filters scheduler noise.
 const RUNS: usize = 5;
-
-fn bench_size() -> u64 {
-    std::env::var("APROF_BENCH_SIZE").ok().and_then(|v| v.parse().ok()).unwrap_or(192)
-}
-
-/// Best-of-`n` wall-clock for `f`, in seconds.
-fn best_of<F: FnMut()>(n: usize, mut f: F) -> f64 {
-    (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-        .max(1e-9)
-}
 
 /// One full profiled run of the reference workload; returns the activation
 /// count so the two configurations can be checked for identical work.

@@ -144,7 +144,7 @@ fn geometric_mean(values: &[f64]) -> f64 {
 /// Table 1: per-benchmark slowdown and space overhead of every tool on the
 /// OMP2012 suite with four worker threads, plus geometric means.
 pub fn table1() -> FigureOutput {
-    let params = WorkloadParams::new(table1_size(), 4);
+    let params = WorkloadParams::new(crate::bench_size(), 4);
     let suite = family(Family::Omp2012);
     let mut table = Table::new(
         std::iter::once("benchmark".to_owned())
@@ -195,7 +195,7 @@ pub fn table1() -> FigureOutput {
     let text = format!(
         "Table 1 — slowdown (x, vs native) and space overhead (factor vs guest data)\n\
          OMP2012 suite, size={}, 4 worker threads\n\n{}",
-        table1_size(),
+        crate::bench_size(),
         table.render()
     );
     FigureOutput {
@@ -204,10 +204,6 @@ pub fn table1() -> FigureOutput {
         text,
         csv: vec![("table1.csv".into(), table.to_csv())],
     }
-}
-
-fn table1_size() -> u64 {
-    std::env::var("APROF_BENCH_SIZE").ok().and_then(|s| s.parse().ok()).unwrap_or(192)
 }
 
 /// Fig. 14: time and space overhead relative to nulgrind as a function of
@@ -239,7 +235,7 @@ pub fn fig14() -> FigureOutput {
     let grid: Vec<(u32, ToolKind)> =
         threads.iter().flat_map(|&t| kinds.iter().map(move |&k| (t, k))).collect();
     let cells = crate::driver::par_map(&grid, |&(t, kind)| {
-        let params = WorkloadParams::new(table1_size() / 2, t);
+        let params = WorkloadParams::new(crate::bench_size() / 2, t);
         let mut rel_time = Vec::new();
         let mut rel_space = Vec::new();
         for wl in &suite {

@@ -6,10 +6,10 @@
 //! throughput (events per second), and wire-vs-text size ratio.
 
 use crate::driver::Json;
+use crate::{bench_size, best_of};
 use aprof_trace::{textio, RecordingTool, Trace};
 use aprof_wire::{WireOptions, WireReader, WireWriter};
 use aprof_workloads::{by_name, WorkloadParams};
-use std::time::Instant;
 
 /// The reference workload captured for the measurement. `350.md` is the
 /// molecular-dynamics analog: address-heavy and multi-threaded.
@@ -20,22 +20,6 @@ const WORKLOAD: &str = "350.md";
 /// the parallel-decode measurement to mean something while staying in the
 /// format's realistic operating range.
 const BENCH_CHUNK_BYTES: usize = 4096;
-
-fn bench_size() -> u64 {
-    std::env::var("APROF_BENCH_SIZE").ok().and_then(|v| v.parse().ok()).unwrap_or(192)
-}
-
-/// Best-of-`n` wall-clock for `f`, in seconds.
-fn best_of<F: FnMut()>(n: usize, mut f: F) -> f64 {
-    (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-        .max(1e-9)
-}
 
 /// Generates the `BENCH_wire.json` report.
 ///

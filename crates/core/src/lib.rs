@@ -80,15 +80,13 @@ mod policy;
 mod profile;
 pub mod renumber;
 mod rms;
-mod stream;
 mod trms;
 
 pub use naive::NaiveProfiler;
-pub use stream::{consume_stream, DEFAULT_STREAM_BATCH};
 pub use policy::InputPolicy;
 pub use profile::{
     ActivationRecord, CostStats, GlobalStats, ProfileReport, RoutineReport, RoutineThreadProfile,
 };
 pub use renumber::RenumberScheme;
 pub use rms::RmsProfiler;
-pub use trms::{TrmsBuilder, TrmsProfiler};
+pub use trms::{TrmsBuilder, TrmsProfiler, DEFAULT_STREAM_BATCH};

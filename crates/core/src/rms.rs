@@ -114,21 +114,6 @@ impl RmsProfiler {
         self.threads.iter().map(|t| t.ts.stats().bytes as u64).sum()
     }
 
-    /// Consumes a fallible event stream (e.g. a wire-trace decoder)
-    /// batch-by-batch via [`crate::consume_stream`], so traces far larger
-    /// than memory profile in bounded space. Returns the events consumed.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first source error and returns it; the profile is not
-    /// finalized in that case.
-    pub fn consume_stream<E, I>(&mut self, events: I) -> Result<u64, E>
-    where
-        I: IntoIterator<Item = Result<(ThreadId, Event), E>>,
-    {
-        crate::stream::consume_stream(self, events)
-    }
-
     /// Finalizes the session and assembles the report.
     pub fn into_report(mut self, names: &RoutineTable) -> ProfileReport {
         self.finish();

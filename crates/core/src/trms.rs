@@ -12,6 +12,11 @@ use std::collections::BTreeMap;
 /// three-level shadow memory chunks.
 const DEFAULT_COUNTER_LIMIT: u64 = u32::MAX as u64;
 
+/// Events per [`Tool::on_batch`] delivery used by
+/// [`TrmsProfiler::consume_stream`] — large enough to amortize dispatch,
+/// small enough to stay cache-resident.
+pub const DEFAULT_STREAM_BATCH: usize = 4096;
+
 /// One entry of a per-thread shadow run-time stack.
 ///
 /// `S_t[i]` in the paper: the routine id, the activation timestamp, the cost
@@ -255,9 +260,10 @@ impl TrmsProfiler {
         stats.bytes as u64
     }
 
-    /// Consumes a fallible event stream (e.g. a wire-trace decoder)
-    /// batch-by-batch via [`crate::consume_stream`], so traces far larger
-    /// than memory profile in bounded space. Returns the events consumed.
+    /// Consumes a fallible event stream (e.g. a wire-trace decoder) with
+    /// [`aprof_trace::replay`] in [`DEFAULT_STREAM_BATCH`]-event batches, so
+    /// traces far larger than memory profile in bounded space. Returns the
+    /// events consumed.
     ///
     /// # Errors
     ///
@@ -267,7 +273,7 @@ impl TrmsProfiler {
     where
         I: IntoIterator<Item = Result<(ThreadId, Event), E>>,
     {
-        crate::stream::consume_stream(self, events)
+        aprof_trace::replay(self, events, DEFAULT_STREAM_BATCH)
     }
 
     /// Finalizes the session (unwinding any still-pending activations) and

@@ -26,7 +26,7 @@ use std::sync::Mutex;
 
 use aprof_core::{InputPolicy, TrmsProfiler};
 use aprof_faults::{FaultConfig, FaultPlan};
-use aprof_trace::{replay_events, Event, RecordingTool, ThreadId};
+use aprof_trace::{Event, RecordingTool, ThreadId, Trace};
 use aprof_vm::asm;
 use aprof_vm::ResourceLimits;
 use aprof_wire::{recover, FlushPolicy, WireOptions, WireReader, WireWriter};
@@ -294,10 +294,7 @@ fn read_strict(bytes: &[u8]) -> Result<Vec<(ThreadId, Event)>, String> {
 /// engine under the full policy).
 fn trms_fingerprint(events: &[(ThreadId, Event)]) -> Vec<(ThreadId, u64, u64, u64)> {
     let mut p = TrmsProfiler::builder().policy(InputPolicy::full()).log_activations(true).build();
-    let src = events.iter().map(|&(t, e)| Ok::<_, std::convert::Infallible>((t, e)));
-    if let Err(never) = replay_events(&mut p, src) {
-        match never {}
-    }
+    events.iter().copied().collect::<Trace>().replay(&mut p);
     p.activations().iter().map(|r| (r.thread, r.trms, r.rms, r.cost)).collect()
 }
 

@@ -23,10 +23,7 @@ use std::io::Cursor;
 
 use aprof_check::check_program;
 use aprof_core::{InputPolicy, NaiveProfiler, RmsProfiler, TrmsProfiler};
-use aprof_trace::{
-    replay_events, replay_events_batched, Event, EventKind, RecordingTool, RoutineId, ThreadId,
-    TimedEvent, Tool,
-};
+use aprof_trace::{replay, Event, EventKind, RecordingTool, RoutineId, ThreadId, TimedEvent, Tool, Trace};
 use aprof_wire::{WireOptions, WireReader, WireWriter};
 
 use crate::gen::CaseSpec;
@@ -140,11 +137,8 @@ impl Mutation {
 type Activation = (ThreadId, RoutineId, u64, u64, u64);
 
 fn replay_into<T: Tool>(tool: &mut T, events: &[TimedEvent]) {
-    // Infallible source; replay_events also issues the finish() hook.
-    let src = events.iter().map(|te| Ok::<_, std::convert::Infallible>((te.thread, te.event)));
-    if let Err(never) = replay_events(tool, src) {
-        match never {}
-    }
+    let trace: Trace = events.iter().map(|te| (te.thread, te.event)).collect();
+    trace.replay(tool);
 }
 
 fn engine_activations(events: &[TimedEvent]) -> Vec<Activation> {
@@ -285,9 +279,7 @@ pub fn run_case_mutated(
     let chunk = 1 + (spec.seed % 61) as usize;
     let mut batched = TrmsProfiler::builder().policy(InputPolicy::full()).log_activations(true).build();
     let src = viewed.iter().map(|te| Ok::<_, std::convert::Infallible>((te.thread, te.event)));
-    if let Err(never) = replay_events_batched(&mut batched, src, chunk) {
-        match never {}
-    }
+    let Ok(_) = replay(&mut batched, src, chunk);
     let batched: Vec<Activation> =
         batched.activations().iter().map(|r| (r.thread, r.routine, r.trms, r.rms, r.cost)).collect();
     if let Some(d) = diff_activations(&format!("batched(chunk={chunk}) vs sequential"), &batched, &engine)

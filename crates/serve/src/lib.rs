@@ -8,9 +8,8 @@
 //! * **Streaming ingest.** Clients submit wire traces over unix or TCP
 //!   sockets. The daemon tees the bytes to a durable spool file while
 //!   decoding them incrementally ([`aprof_wire::WireReader`] works directly
-//!   over a socket) and folding events into a per-stream
-//!   [`TrmsProfiler`](aprof_core::TrmsProfiler) as chunks arrive — the full
-//!   trace is never materialized in memory.
+//!   over a socket) and folding events into a per-stream [`TrmsProfiler`]
+//!   as chunks arrive — the full trace is never materialized in memory.
 //! * **Tenancy.** Streams are grouped by tenant. Each tenant's quota is an
 //!   [`aprof_vm::ResourceLimits`]: `max_instructions` bounds the events the
 //!   tenant may aggregate, `max_alloc_cells` bounds its spool footprint (in
@@ -26,13 +25,13 @@
 //!   any instant, and re-submitting a committed stream id is an idempotent
 //!   duplicate.
 //! * **Determinism.** Each tenant keeps one running aggregate: every
-//!   commit folds its stream in with
-//!   [`ProfileReport::absorb`](aprof_core::ProfileReport::absorb), and no
+//!   commit folds its stream in with [`ProfileReport::absorb`], and no
 //!   per-stream report outlives its commit. Merging is exact and ignores
 //!   order, so the aggregate is byte-identical (via
-//!   [`ProfileReport::to_canonical_text`](aprof_core::ProfileReport::to_canonical_text))
-//!   to a one-shot `aprof-cli replay` of the same traces in any order,
-//!   whatever order the streams committed or were recovered in.
+//!   [`ProfileReport::to_canonical_text`]) to the merged
+//!   [`one_shot_profile`]s of the same traces, and to a one-shot
+//!   `aprof-cli replay` of them, in any order, whatever order the streams
+//!   committed or were recovered in.
 //! * **Live endpoints.** The same sockets answer `obs.json`, tenant
 //!   listings, canonical profiles and HTML reports — over the line
 //!   protocol or plain HTTP `GET`.
@@ -40,19 +39,20 @@
 //! See `DESIGN.md` §12 for the architecture discussion and the wire
 //! protocol grammar.
 //!
-//! [`consume_stream`]: aprof_core::consume_stream
+//! [`consume_stream`]: aprof_core::TrmsProfiler::consume_stream
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::fmt;
-use std::io;
+use std::io::{self, Read};
 use std::path::PathBuf;
 use std::time::Duration;
 
+use aprof_core::{ProfileReport, TrmsProfiler};
 use aprof_faults::{FaultConfig, FaultPlan};
 use aprof_vm::ResourceLimits;
-use aprof_wire::WireError;
+use aprof_wire::{WireError, WireReader};
 
 pub mod client;
 mod protocol;
@@ -65,6 +65,32 @@ pub use client::{Ack, RetryPolicy, Target};
 pub use server::{Server, ServerHandle};
 pub use supervisor::BreakerConfig;
 pub use tenant::TenantSummary;
+
+/// Profiles one complete wire trace the way the daemon profiles a stream:
+/// a strict reader, a fresh [`TrmsProfiler`] fed through
+/// [`consume_stream`](TrmsProfiler::consume_stream), and a validated
+/// trailing index. Returns the profile and its event count.
+///
+/// Startup recovery re-reads the spool with it, and it is the one-shot
+/// oracle that a tenant's aggregate is checked against: the aggregate of
+/// a set of streams is byte-identical to the
+/// [`merge`](ProfileReport::merge) of their one-shot profiles.
+///
+/// # Errors
+///
+/// [`ServeError::Wire`] if the trace fails strict validation or ends
+/// without a validated index; [`ServeError::Io`] if reading fails.
+pub fn one_shot_profile(trace: impl Read) -> Result<(ProfileReport, u64), ServeError> {
+    let mut reader = WireReader::new(trace)?.strict();
+    let mut profiler = TrmsProfiler::new();
+    let events = profiler.consume_stream(&mut reader)?;
+    if reader.index().is_none() {
+        return Err(ServeError::Wire(WireError::UnexpectedEof {
+            context: "stream ended without a validated index",
+        }));
+    }
+    Ok((profiler.into_report(reader.routines()), events))
+}
 
 /// How a submission may address a tenant or stream: 1–64 bytes, first byte
 /// ASCII alphanumeric, rest alphanumeric or `.`/`_`/`-`. (The leading

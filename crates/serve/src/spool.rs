@@ -20,8 +20,8 @@
 //! un-acknowledged by construction and are deleted during recovery.
 
 use crate::tenant::Registry;
-use crate::{ServeError, valid_name};
-use aprof_core::{ProfileReport, TrmsProfiler};
+use crate::{one_shot_profile, valid_name, ServeError};
+use aprof_core::ProfileReport;
 use aprof_faults::FaultPlan;
 use aprof_obs::counters;
 use std::fs::{self, File};
@@ -132,7 +132,7 @@ impl Spool {
                 if !valid_name(stream) {
                     continue;
                 }
-                match replay_wire(&path) {
+                match recover_stream(&path) {
                     Ok((report, events, bytes)) => {
                         counters::SERVE_RECOVERED_STREAMS.incr();
                         registry.restore(tenant, stream, &report, events, bytes_to_cells(bytes));
@@ -145,20 +145,11 @@ impl Spool {
     }
 }
 
-/// Strict-replays one committed `.wire` file into a profile.
-fn replay_wire(path: &Path) -> Result<(ProfileReport, u64, u64), ServeError> {
+/// Profiles one committed `.wire` file; also returns its size in bytes.
+fn recover_stream(path: &Path) -> Result<(ProfileReport, u64, u64), ServeError> {
     let bytes = fs::metadata(path)?.len();
-    let file = BufReader::new(File::open(path)?);
-    let mut reader = aprof_wire::WireReader::new(file)?.strict();
-    let mut profiler = TrmsProfiler::new();
-    let events = profiler.consume_stream(&mut reader)?;
-    if reader.index().is_none() {
-        return Err(ServeError::Wire(aprof_wire::WireError::UnexpectedEof {
-            context: "spooled stream ended without a validated index",
-        }));
-    }
-    let names = reader.routines().clone();
-    Ok((profiler.into_report(&names), events, bytes))
+    let (report, events) = one_shot_profile(BufReader::new(File::open(path)?))?;
+    Ok((report, events, bytes))
 }
 
 /// Spool footprint of a byte count, in the VM's 8-byte cells (rounding up),

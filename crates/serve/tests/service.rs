@@ -6,12 +6,12 @@
 //! parallel threads, so counter assertions here are monotonic (`>=`,
 //! before/after deltas) rather than exact.
 
-use aprof_core::{ProfileReport, TrmsProfiler};
+use aprof_core::ProfileReport;
 use aprof_faults::FaultConfig;
-use aprof_serve::{client, RetryPolicy, ServeConfig, ServeError, Server, Target};
+use aprof_serve::{client, one_shot_profile, RetryPolicy, ServeConfig, ServeError, Server, Target};
 use aprof_trace::{Event, NullTool, RoutineTable, ThreadId};
 use aprof_vm::ResourceLimits;
-use aprof_wire::{WireOptions, WireReader, WireWriter};
+use aprof_wire::{WireOptions, WireWriter};
 use aprof_workloads::{by_name, WorkloadParams};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -46,19 +46,10 @@ fn record_workload(name: &str, size: u64) -> Vec<u8> {
     writer.finish().unwrap().0
 }
 
-/// The daemon-equivalent one-shot replay of one wire trace.
-fn replay(bytes: &[u8]) -> ProfileReport {
-    let mut reader = WireReader::new(bytes).unwrap().strict();
-    let mut profiler = TrmsProfiler::new();
-    profiler.consume_stream(&mut reader).expect("valid stream");
-    assert!(reader.index().is_some());
-    let names = reader.routines().clone();
-    profiler.into_report(&names)
-}
-
-/// The CLI oracle: replay each trace, merge in the given (sorted) order.
+/// The CLI oracle: the merge of each trace's one-shot profile.
 fn oracle_text(traces: &[&[u8]]) -> String {
-    let reports: Vec<ProfileReport> = traces.iter().map(|t| replay(t)).collect();
+    let reports: Vec<ProfileReport> =
+        traces.iter().map(|t| one_shot_profile(*t).unwrap().0).collect();
     ProfileReport::merge(&reports).to_canonical_text()
 }
 
@@ -537,11 +528,7 @@ fn spool_and_tenant_pressure_shed_deterministically() {
     let dir = scratch("shedspool");
     let (mut cfg, target) = unix_config(&dir);
     let trace = record_workload("algo.insertion_sort", 32);
-    let events = {
-        let mut reader = WireReader::new(&trace[..]).unwrap().strict();
-        let mut profiler = TrmsProfiler::new();
-        profiler.consume_stream(&mut reader).unwrap()
-    };
+    let (_, events) = one_shot_profile(&trace[..]).unwrap();
     // Spool capacity admits exactly one copy of the trace; tenant pressure
     // fires once a tenant holds `events` committed events (10% of a budget
     // of 10x). Either threshold alone would shed the second stream.

@@ -11,12 +11,12 @@
 //!
 //! `APROF_SOAK_CASES` scales the corpus (default 6, keeping CI bounded).
 
-use aprof_core::{ProfileReport, TrmsProfiler};
+use aprof_core::ProfileReport;
 use aprof_corpus::{CaseSpec, GenConfig};
 use aprof_faults::FaultConfig;
-use aprof_serve::{client, ServeConfig, ServeError, Server, Target};
+use aprof_serve::{client, one_shot_profile, ServeConfig, ServeError, Server, Target};
 use aprof_trace::NullTool;
-use aprof_wire::{WireOptions, WireReader, WireWriter};
+use aprof_wire::{WireOptions, WireWriter};
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -46,15 +46,6 @@ fn record_case(seed: u64, cfg: &GenConfig) -> Option<Vec<u8>> {
     .unwrap();
     machine.run_recording(&mut NullTool, &mut writer).ok()?;
     Some(writer.finish().unwrap().0)
-}
-
-fn replay(bytes: &[u8]) -> ProfileReport {
-    let mut reader = WireReader::new(bytes).unwrap().strict();
-    let mut profiler = TrmsProfiler::new();
-    profiler.consume_stream(&mut reader).expect("valid stream");
-    assert!(reader.index().is_some());
-    let names = reader.routines().clone();
-    profiler.into_report(&names)
 }
 
 /// Submits with retries: the daemon's fault plan panics/delays workers and
@@ -174,7 +165,7 @@ fn soak_faulted_daemon_loses_no_acked_data() {
     let mut expected: Vec<(&str, String)> = Vec::new();
     for tenant in ["tenant-a", "tenant-b"] {
         let reports: Vec<ProfileReport> =
-            traces.iter().filter(|(t, _, _)| t == tenant).map(|(_, _, b)| replay(b)).collect();
+            traces.iter().filter(|(t, _, _)| t == tenant).map(|(_, _, b)| one_shot_profile(&b[..]).unwrap().0).collect();
         expected.push((tenant, ProfileReport::merge(&reports).to_canonical_text()));
     }
     for (tenant, text) in &expected {

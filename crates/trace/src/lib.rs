@@ -17,6 +17,10 @@
 //!   (ties broken arbitrarily but deterministically), with `switchThread`
 //!   events inserted between operations of different threads, and then
 //!   [replayed](Trace::replay) into any `Tool`.
+//! * [`replay`] — the replay of an event stream that is not in memory (a
+//!   wire trace being decoded, or any other fallible source), in batches
+//!   through [`Tool::on_batch`]. [`Trace::replay_batched`] runs it over
+//!   an in-memory trace, so a tool cannot tell the two apart.
 //!
 //! # Example
 //!
@@ -53,4 +57,4 @@ pub use event::{Event, EventKind, TimedEvent};
 pub use ids::{Addr, RoutineId, ThreadId, Timestamp};
 pub use table::RoutineTable;
 pub use tool::{NullTool, RecordingTool, Tool};
-pub use trace::{replay_events, replay_events_batched, ThreadTrace, Trace, TraceStats};
+pub use trace::{replay, ThreadTrace, Trace, TraceStats};

@@ -136,8 +136,9 @@ pub trait Tool {
 
     /// Dispatches a contiguous batch of events.
     ///
-    /// Called by [`Trace::replay_batched`](crate::Trace::replay_batched)
-    /// with fixed-size chunks of the event stream. The default delivers the
+    /// Called by [`replay`](crate::replay) and
+    /// [`Trace::replay_batched`](crate::Trace::replay_batched) with
+    /// fixed-size chunks of the event stream. The default delivers the
     /// batch event-by-event through [`dispatch`](Tool::dispatch), so
     /// existing tools observe exactly the sequential callback protocol.
     /// Tools may override this to exploit batch-local structure (e.g. runs

@@ -4,8 +4,8 @@
 //! by an in-memory `Trace::replay` — across chunk sizes from "one event
 //! per chunk" to "everything in one chunk".
 
-use aprof_core::{RmsProfiler, TrmsProfiler};
-use aprof_trace::{textio, Addr, Event, RoutineId, RoutineTable, ThreadId, Trace};
+use aprof_core::{RmsProfiler, TrmsProfiler, DEFAULT_STREAM_BATCH};
+use aprof_trace::{replay, textio, Addr, Event, RoutineId, RoutineTable, ThreadId, Trace};
 use aprof_wire::{WireOptions, WireReader, WireWriter};
 use proptest::prelude::*;
 
@@ -168,7 +168,7 @@ proptest! {
             );
 
             let mut rms = RmsProfiler::new();
-            rms.consume_stream(WireReader::new(&bytes[..]).unwrap()).unwrap();
+            replay(&mut rms, WireReader::new(&bytes[..]).unwrap(), DEFAULT_STREAM_BATCH).unwrap();
             prop_assert_eq!(
                 &rms.into_report(&names), &rms_expected,
                 "rms, chunk_bytes {}", chunk_bytes

@@ -184,7 +184,8 @@ fn arbitrary_garbage_never_panics() {
 
 #[test]
 fn profiles_from_damaged_files_are_never_silently_wrong() {
-    use aprof_core::RmsProfiler;
+    use aprof_core::{RmsProfiler, DEFAULT_STREAM_BATCH};
+    use aprof_trace::replay;
 
     let pristine = sample_file();
     let names = {
@@ -194,9 +195,7 @@ fn profiles_from_damaged_files_are_never_silently_wrong() {
         names
     };
     let mut reference = RmsProfiler::new();
-    reference
-        .consume_stream(WireReader::new(&pristine[..]).unwrap())
-        .unwrap();
+    replay(&mut reference, WireReader::new(&pristine[..]).unwrap(), DEFAULT_STREAM_BATCH).unwrap();
     let reference = reference.into_report(&names);
 
     let mut mismatches_without_evidence = 0;
@@ -208,7 +207,7 @@ fn profiles_from_damaged_files_are_never_silently_wrong() {
             Err(_) => continue, // typed rejection: fine
         };
         let mut profiler = RmsProfiler::new();
-        if profiler.consume_stream(&mut reader).is_err() {
+        if replay(&mut profiler, &mut reader, DEFAULT_STREAM_BATCH).is_err() {
             continue; // typed rejection: fine
         }
         let evidence = !reader.skipped().is_empty();

@@ -118,6 +118,7 @@ commands:
                                wire traces merge into one aggregate
                                profile, byte-identical to a service
                                tenant's aggregate of the same streams
+                               (--cct needs a single trace)
   trace-info FILE              inspect a saved trace: format, events,
                                chunks, threads, and any corrupt chunks
                                skipped during decode
@@ -173,7 +174,7 @@ options:
                     crash (even power loss) costs at most the open chunk;
                     `recover` restores such a capture losslessly
   --strict          replay: abort on corrupt chunks instead of skipping
-  --profile-out FILE  replay: write the (merged) profile as canonical
+  --profile-out FILE  replay: also write the (merged) profile as canonical
                     text — the byte-stable format the service daemon
                     serves from its PROFILE endpoint
   --csv FILE        also write the routine summary as CSV to FILE
@@ -1052,114 +1053,102 @@ fn cmd_replay(args: &[String]) -> i32 {
         eprintln!("replay requires at least one FILE argument");
         return 2;
     }
-    // Several traces (or an explicit `--profile-out`) take the merge path:
-    // replay each wire trace, then merge them.
-    if opts.positional.len() > 1 || opts.profile_out.is_some() {
+    if opts.positional.len() > 1 {
         return replay_merged(&opts);
     }
-    report_trace_file(&opts.positional[0], &opts)
+    let Some(report) = report_trace_file(&opts.positional[0], &opts) else { return 1 };
+    // `--profile-out` gets the profile in merged form, the bytes a merge of
+    // this one trace writes.
+    match &opts.profile_out {
+        Some(out) => write_profile_out(out, &ProfileReport::merge(&[report])),
+        None => 0,
+    }
 }
 
-/// Profiles one saved trace (wire or text, auto-detected) and reports it;
-/// returns the exit code. Wire traces stream chunk-by-chunk: the profile is
-/// computed in O(chunk) memory and routine names come from the embedded
-/// table. Text traces carry no routine names, so they report placeholder
-/// ids.
-fn report_trace_file(path: &str, opts: &Opts) -> i32 {
-    let (file, is_wire) = match open_trace(path) {
-        Ok(v) => v,
+/// Opens one saved trace (wire or text, auto-detected) and profiles it;
+/// `Err` is the message to print. Wire traces stream chunk by chunk: the
+/// profile is computed in O(chunk) memory, `--strict` refuses corrupt
+/// chunks instead of skipping them with a warning, and routine names come
+/// from the embedded table. Text traces carry no routine names (`None`),
+/// so they report placeholder ids.
+fn profile_trace_file(path: &str, opts: &Opts) -> Result<(TrmsProfiler, Option<RoutineTable>), String> {
+    let (file, is_wire) = open_trace(path)?;
+    let mut profiler = build_profiler(opts);
+    if !is_wire {
+        let trace = textio::from_reader(file).map_err(|e| format!("{path}: {e}"))?;
+        trace.replay(&mut profiler);
+        return Ok((profiler, None));
+    }
+    let mut reader = WireReader::new(file).map_err(|e| format!("{path}: {e}"))?;
+    if opts.strict {
+        reader = reader.strict();
+    }
+    profiler.consume_stream(&mut reader).map_err(|e| format!("{path}: {e}"))?;
+    for skipped in reader.skipped() {
+        eprintln!("warning: {path}: skipped corrupt {skipped}");
+    }
+    Ok((profiler, Some(reader.routines().clone())))
+}
+
+/// Profiles one saved trace and reports it with every report option;
+/// `None` when it cannot be profiled (the message is printed).
+fn report_trace_file(path: &str, opts: &Opts) -> Option<ProfileReport> {
+    match profile_trace_file(path, opts) {
+        Ok((profiler, names)) => Some(report_profiler(profiler, &names.unwrap_or_default(), opts, None)),
         Err(e) => {
             eprintln!("{e}");
-            return 1;
+            None
         }
-    };
-    let mut profiler = build_profiler(opts);
-    let names = if is_wire {
-        let mut reader = match WireReader::new(file) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{e}");
-                return 1;
-            }
-        };
-        if opts.strict {
-            reader = reader.strict();
-        }
-        if let Err(e) = profiler.consume_stream(&mut reader) {
-            eprintln!("{e}");
-            return 1;
-        }
-        for skipped in reader.skipped() {
-            eprintln!("warning: skipped corrupt {skipped}");
-        }
-        reader.routines().clone()
-    } else {
-        match textio::from_reader(file) {
-            Ok(trace) => trace.replay(&mut profiler),
-            Err(e) => {
-                eprintln!("{e}");
-                return 1;
-            }
-        }
-        RoutineTable::new()
-    };
-    report_profiler(profiler, &names, opts, None);
-    0
+    }
 }
 
-/// The merge path of `cmd_replay`: one profile per wire trace, merged.
-/// The merge ignores order, and a service tenant's aggregate folds its
-/// streams by the same rule, so replaying a tenant's spooled streams in any
-/// order reproduces its `PROFILE` endpoint byte for byte.
+/// The merge path of `cmd_replay`: one profile per wire trace, merged,
+/// then reported with every report option. The merge matches routines by
+/// name, so text traces, which carry none, are refused. The merge ignores
+/// order, and a service tenant's aggregate folds its streams by the same
+/// rule, so replaying a tenant's spooled streams in any order reproduces
+/// its `PROFILE` endpoint byte for byte.
 fn replay_merged(opts: &Opts) -> i32 {
+    if opts.cct {
+        eprintln!("--cct needs a single trace: calling-context trees do not merge");
+        return 2;
+    }
     let mut merged = ProfileReport::default();
     for path in &opts.positional {
-        let (file, is_wire) = match open_trace(path) {
-            Ok(v) => v,
+        match profile_trace_file(path, opts) {
+            Ok((profiler, Some(names))) => merged.absorb(&profiler.into_report(&names)),
+            Ok((_, None)) => {
+                eprintln!(
+                    "{path}: profile merging requires wire traces (the text format carries no routine names)"
+                );
+                return 1;
+            }
             Err(e) => {
                 eprintln!("{e}");
                 return 1;
             }
-        };
-        if !is_wire {
-            eprintln!("{path}: profile merging requires wire traces (the text format carries no routine names)");
-            return 1;
-        }
-        let mut reader = match WireReader::new(file) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                return 1;
-            }
-        };
-        if opts.strict {
-            reader = reader.strict();
-        }
-        let names = reader.routines().clone();
-        let mut profiler = build_profiler(opts);
-        if let Err(e) = profiler.consume_stream(&mut reader) {
-            eprintln!("{path}: {e}");
-            return 1;
-        }
-        for skipped in reader.skipped() {
-            eprintln!("warning: {path}: skipped corrupt {skipped}");
-        }
-        merged.absorb(&profiler.into_report(&names));
-    }
-    print_summary(&merged, opts);
-    if let Some(path) = &opts.profile_out {
-        match std::fs::write(path, merged.to_canonical_text()) {
-            Ok(()) => println!("wrote canonical profile to {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                return 1;
-            }
         }
     }
-    if let Some(path) = &opts.report {
-        write_html_report(&merged, "merged replay", path, opts.top, None);
+    report_sections(&merged, "merged replay", opts, None);
+    match &opts.profile_out {
+        Some(out) => write_profile_out(out, &merged),
+        None => 0,
     }
-    0
+}
+
+/// Writes a merged-form profile to `path` as canonical text; returns the
+/// exit code.
+fn write_profile_out(path: &str, merged: &ProfileReport) -> i32 {
+    match std::fs::write(path, merged.to_canonical_text()) {
+        Ok(()) => {
+            println!("wrote canonical profile to {path}");
+            0
+        }
+        Err(e) => {
+            eprintln!("cannot write {path}: {e}");
+            1
+        }
+    }
 }
 
 fn cmd_report(args: &[String]) -> i32 {
@@ -1201,7 +1190,7 @@ fn cmd_report(args: &[String]) -> i32 {
         eprintln!("report requires --workload NAME or a saved TRACE file");
         return 2;
     };
-    report_trace_file(path, &opts)
+    report_trace_file(path, &opts).map_or(1, |_| 0)
 }
 
 fn cmd_trace_info(args: &[String]) -> i32 {
@@ -1899,26 +1888,53 @@ fn report_profiler(
     names: &RoutineTable,
     opts: &Opts,
     bounds: Option<&std::collections::BTreeMap<String, String>>,
-) {
+) -> ProfileReport {
     let (report, cct) = profiler.into_report_and_cct(names);
-    print_summary(&report, opts);
+    // Title the HTML page after the workload, else the first non-output
+    // positional (the trace or assembly file), else a generic label.
+    let title = opts
+        .workload
+        .clone()
+        .or_else(|| {
+            opts.positional.iter().find(|p| Some(p.as_str()) != opts.report.as_deref()).cloned()
+        })
+        .unwrap_or_else(|| "run".into());
+    report_sections(&report, &title, opts, bounds);
+    if let Some(cct) = cct {
+        println!("hot calling contexts:");
+        let mut table = Table::new(vec![
+            "context".into(),
+            "calls".into(),
+            "cost".into(),
+            "distinct trms".into(),
+        ]);
+        for ctx in cct.hottest(names).into_iter().take(opts.top) {
+            table.row(vec![
+                ctx.path,
+                ctx.calls.to_string(),
+                ctx.total_cost.to_string(),
+                ctx.distinct_trms.to_string(),
+            ]);
+        }
+        println!("{}", table.render());
+    }
+    report
+}
+
+/// Prints the summary of `report` and every section the options ask for:
+/// `--csv`, `--report` (titled `title`), `--bottlenecks` and `--plot`.
+fn report_sections(
+    report: &ProfileReport,
+    title: &str,
+    opts: &Opts,
+    bounds: Option<&std::collections::BTreeMap<String, String>>,
+) {
+    print_summary(report, opts);
     if let Some(path) = &opts.report {
-        // Title the page after the workload, else the first non-output
-        // positional (the trace or assembly file), else a generic label.
-        let title = opts
-            .workload
-            .clone()
-            .or_else(|| {
-                opts.positional
-                    .iter()
-                    .find(|p| Some(p.as_str()) != opts.report.as_deref())
-                    .cloned()
-            })
-            .unwrap_or_else(|| "run".into());
-        write_html_report(&report, &title, path, opts.top, bounds);
+        write_html_report(report, title, path, opts.top, bounds);
     }
     if opts.bottlenecks {
-        let entries = aprof::analysis::bottleneck::analyze(&report);
+        let entries = aprof::analysis::bottleneck::analyze(report);
         println!("asymptotic bottleneck analysis:");
         println!("{}", aprof::analysis::bottleneck::render(&entries, opts.top));
     }
@@ -1940,24 +1956,6 @@ fn report_profiler(
             }
             None => eprintln!("routine `{routine}` not found in the profile"),
         }
-    }
-    if let Some(cct) = cct {
-        println!("hot calling contexts:");
-        let mut table = Table::new(vec![
-            "context".into(),
-            "calls".into(),
-            "cost".into(),
-            "distinct trms".into(),
-        ]);
-        for ctx in cct.hottest(names).into_iter().take(opts.top) {
-            table.row(vec![
-                ctx.path,
-                ctx.calls.to_string(),
-                ctx.total_cost.to_string(),
-                ctx.distinct_trms.to_string(),
-            ]);
-        }
-        println!("{}", table.render());
     }
 }
 

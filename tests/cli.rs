@@ -221,6 +221,48 @@ fn corrupt_wire_chunk_is_reported_not_fatal() {
     std::fs::remove_file(&wire).ok();
 }
 
+/// `--profile-out` only adds the canonical profile: one trace still gets
+/// every report section, a single text trace is accepted, and a merge
+/// refuses `--cct` instead of silently dropping it and text traces as
+/// before.
+#[test]
+fn replay_profile_out_keeps_report_options() {
+    let dir = std::env::temp_dir().join("aprof-cli-test-profile-out");
+    std::fs::create_dir_all(&dir).unwrap();
+    let wire = dir.join("t.wire");
+    let text = dir.join("t.trace");
+    let profile = dir.join("t.profile");
+    let (wire_s, text_s, profile_s) =
+        (wire.to_str().unwrap(), text.to_str().unwrap(), profile.to_str().unwrap());
+    let workload = ["--workload", "algo.insertion_sort", "--size", "24"];
+    run_ok(&[&["record", wire_s][..], &workload].concat());
+    run_ok(&[&["run", "--save-trace", text_s][..], &workload].concat());
+
+    let sections = ["--bottlenecks", "--cct", "--plot", "insertion_sort"];
+    let plain = run_ok(&[&["replay", wire_s][..], &sections].concat());
+    for section in ["asymptotic bottleneck", "hot calling contexts", "fitted growth"] {
+        assert!(plain.contains(section), "missing {section} in:\n{plain}");
+    }
+    let with_out = run_ok(&[&["replay", wire_s][..], &sections, &["--profile-out", profile_s]].concat());
+    let wrote = format!("wrote canonical profile to {profile_s}\n");
+    assert_eq!(with_out.replace(&wrote, ""), plain);
+    assert!(with_out.contains(&wrote), "{with_out}");
+    assert!(std::fs::read_to_string(&profile).unwrap().contains("insertion_sort"));
+
+    let from_text = run_ok(&["replay", text_s, "--profile-out", profile_s]);
+    assert!(from_text.contains(&wrote), "{from_text}");
+
+    let out = cli().args(["replay", wire_s, wire_s, "--cct"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    // A merge matches routines by name, and a text trace has none.
+    let out = cli().args(["replay", wire_s, text_s]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("profile merging requires wire traces"), "{stderr}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The differential crash test behind `aprof-cli recover`: record a durable
 /// capture, kill it (simulated by truncating the file) at several points,
 /// recover each torn file, and check the recovered replay profiles a prefix
