@@ -4,6 +4,7 @@
 use crate::protocol::{read_line, Conn};
 use crate::ServeError;
 use aprof_faults::jittered_backoff;
+use std::io::ErrorKind::{BrokenPipe, ConnectionReset};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
@@ -112,10 +113,18 @@ pub fn submit(
 ) -> Result<Ack, ServeError> {
     let mut conn = target.connect()?;
     writeln!(conn, "APROF/1 SUBMIT tenant={tenant} stream={stream}")?;
-    io::copy(trace, &mut conn)?;
-    conn.flush()?;
-    conn.shutdown_write()?;
-    let line = read_line(&mut conn)?;
+    let sent =
+        io::copy(trace, &mut conn).and_then(|_| conn.flush()).and_then(|()| conn.shutdown_write());
+    let line = match sent {
+        Ok(()) => read_line(&mut conn)?,
+        // A daemon that refuses a stream early (shed, quarantine, quota, a
+        // worker panic) replies and hangs up without reading the rest, so
+        // the write fails: its reply, if it sent one, says why.
+        Err(e) if matches!(e.kind(), BrokenPipe | ConnectionReset) => {
+            read_line(&mut conn).map_err(|_| e)?
+        }
+        Err(e) => return Err(e.into()),
+    };
     let words = parse_reply_line(&line)?;
     Ok(Ack {
         events: field(&words, "events").unwrap_or(0),

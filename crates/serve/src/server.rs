@@ -13,12 +13,13 @@ use aprof_trace::{Event, ThreadId};
 use aprof_wire::{WireError, WireReader};
 use std::fmt::Write as _;
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener};
-use std::os::unix::net::UnixListener;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::fs::MetadataExt;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -27,16 +28,16 @@ const RUNNING: u8 = 0;
 const DRAINING: u8 = 1;
 const STOPPING: u8 = 2;
 
-/// How long an accept loop sleeps between polls of its non-blocking
-/// listener (also the latency bound on noticing a shutdown request).
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
-
 /// Per-read socket timeout: a silent peer cannot pin a worker (or stall a
 /// drain) longer than this.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Read-buffer capacity between the socket and the wire decoder.
 const SOCKET_BUF: usize = 64 << 10;
+
+/// How long a TCP submission stays open after its reply while the daemon
+/// discards input it did not read (see `handle_submit`).
+const LINGER: Duration = Duration::from_secs(2);
 
 struct Shared {
     cfg: ServeConfig,
@@ -47,7 +48,21 @@ struct Shared {
     state: AtomicU8,
     conn_seq: AtomicU64,
     active_conns: AtomicUsize,
-    drain_started: Mutex<Option<Instant>>,
+    /// One per listener, in the order of `ServerHandle::accept_threads`.
+    wakes: Vec<Wake>,
+    drain: Mutex<Drain>,
+    /// Signalled once shutdown has woken the listeners, on an immediate
+    /// shutdown, and whenever `active_conns` drops to 0.
+    drained: Condvar,
+}
+
+/// Shutdown progress, guarded by `Shared::drain`.
+#[derive(Default)]
+struct Drain {
+    started: Option<Instant>,
+    /// Set once shutdown has tried to wake every listener: `true` where
+    /// the wake-up connection reached it.
+    woken: Option<Vec<bool>>,
 }
 
 impl Shared {
@@ -55,14 +70,116 @@ impl Shared {
         self.state.load(Ordering::SeqCst)
     }
 
+    fn lock_drain(&self) -> MutexGuard<'_, Drain> {
+        self.drain.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn wait_drained<'a>(&self, guard: MutexGuard<'a, Drain>) -> MutexGuard<'a, Drain> {
+        self.drained.wait(guard).unwrap_or_else(|e| e.into_inner())
+    }
+
     fn request_shutdown(&self, now: bool) {
         let target = if now { STOPPING } else { DRAINING };
         // Only ratchet upwards; record when the drain began.
-        let mut started = self.drain_started.lock().unwrap_or_else(|e| e.into_inner());
-        if started.is_none() {
-            *started = Some(Instant::now());
+        let first = {
+            let mut drain = self.lock_drain();
+            drain.started.get_or_insert_with(Instant::now);
+            self.state.fetch_max(target, Ordering::SeqCst) == RUNNING
+        };
+        if first {
+            // Each listener blocks in `accept`: connect once so it returns
+            // and sees the new state. Not under the lock, since a connect
+            // can wait for room in the listener's backlog.
+            let woken = self.wakes.iter().map(Wake::wake).collect();
+            self.lock_drain().woken = Some(woken);
         }
-        self.state.fetch_max(target, Ordering::SeqCst);
+        self.drained.notify_all();
+    }
+
+    /// Called by each worker as it finishes; the last one out wakes a
+    /// draining [`ServerHandle::wait`].
+    fn conn_done(&self) {
+        if self.active_conns.fetch_sub(1, Ordering::SeqCst) == 1 {
+            // Taking the lock orders this notify after a waiter's check.
+            drop(self.lock_drain());
+            self.drained.notify_all();
+        }
+    }
+}
+
+/// A bound listener; it blocks in `accept`.
+enum Listener {
+    Unix(UnixListener),
+    Tcp(TcpListener),
+}
+
+impl Listener {
+    fn accept(&self) -> io::Result<Conn> {
+        match self {
+            Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+        }
+    }
+}
+
+/// Where shutdown connects to wake one listener.
+enum Wake {
+    /// The socket path and the identity of the file bound there. A later
+    /// daemon on the same path replaces the file, and connecting to it
+    /// would wake that daemon instead of this one.
+    Unix(PathBuf, FileId),
+    /// The bound address, with an unspecified IP mapped to loopback.
+    Tcp(SocketAddr),
+}
+
+/// Device, inode and change time of a file.
+type FileId = (u64, u64, i64, i64);
+
+fn file_id(path: &Path) -> io::Result<FileId> {
+    let m = std::fs::metadata(path)?;
+    Ok((m.dev(), m.ino(), m.ctime(), m.ctime_nsec()))
+}
+
+/// Binds the configured listeners, each with its wake address.
+fn bind_listeners(cfg: &ServeConfig) -> io::Result<Vec<(Listener, Wake)>> {
+    let mut bound = Vec::new();
+    if let Some(path) = &cfg.unix {
+        // A stale socket file from a previous life would make bind fail.
+        let _ = std::fs::remove_file(path);
+        let listener = UnixListener::bind(path)?;
+        bound.push((Listener::Unix(listener), Wake::Unix(path.clone(), file_id(path)?)));
+    }
+    if let Some(addr) = &cfg.tcp {
+        let listener = TcpListener::bind(addr)?;
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        bound.push((Listener::Tcp(listener), Wake::Tcp(wake)));
+    }
+    Ok(bound)
+}
+
+impl Wake {
+    /// The unix socket path, while the file there is still the one this
+    /// daemon bound.
+    fn own_path(&self) -> Option<&Path> {
+        match self {
+            Wake::Unix(path, id) if file_id(path).is_ok_and(|now| now == *id) => Some(path),
+            _ => None,
+        }
+    }
+
+    /// Connects once and hangs up. `false` if the listener is out of
+    /// reach: its socket file is gone or belongs to another daemon.
+    fn wake(&self) -> bool {
+        match self {
+            Wake::Unix(..) => self.own_path().is_some_and(|p| UnixStream::connect(p).is_ok()),
+            Wake::Tcp(addr) => TcpStream::connect(addr).is_ok(),
+        }
     }
 }
 
@@ -92,6 +209,11 @@ impl Server {
         let registry = Registry::new(&cfg);
         let damaged = spool.recover(&registry)?;
         let breakers = BreakerBank::new(cfg.breaker);
+        let (listeners, wakes): (Vec<_>, Vec<_>) = bind_listeners(&cfg)?.into_iter().unzip();
+        let tcp_addr = listeners.iter().find_map(|l| match l {
+            Listener::Tcp(l) => l.local_addr().ok(),
+            Listener::Unix(_) => None,
+        });
         let shared = Arc::new(Shared {
             registry,
             spool,
@@ -100,31 +222,18 @@ impl Server {
             state: AtomicU8::new(RUNNING),
             conn_seq: AtomicU64::new(0),
             active_conns: AtomicUsize::new(0),
-            drain_started: Mutex::new(None),
+            wakes,
+            drain: Mutex::new(Drain::default()),
+            drained: Condvar::new(),
             cfg,
         });
-
-        let mut accept_threads = Vec::new();
-        if let Some(path) = shared.cfg.unix.clone() {
-            // A stale socket file from a previous life would make bind fail.
-            let _ = std::fs::remove_file(&path);
-            let listener = UnixListener::bind(&path)?;
-            listener.set_nonblocking(true)?;
-            let shared = Arc::clone(&shared);
-            accept_threads.push(thread::spawn(move || {
-                supervised_accept_loop(&shared, || listener.accept().map(|(s, _)| Conn::Unix(s)));
-            }));
-        }
-        let mut tcp_addr = None;
-        if let Some(addr) = shared.cfg.tcp.clone() {
-            let listener = TcpListener::bind(&addr)?;
-            tcp_addr = Some(listener.local_addr()?);
-            listener.set_nonblocking(true)?;
-            let shared = Arc::clone(&shared);
-            accept_threads.push(thread::spawn(move || {
-                supervised_accept_loop(&shared, || listener.accept().map(|(s, _)| Conn::Tcp(s)));
-            }));
-        }
+        let accept_threads = listeners
+            .into_iter()
+            .map(|listener| {
+                let shared = Arc::clone(&shared);
+                thread::spawn(move || supervised_accept_loop(&shared, &listener))
+            })
+            .collect();
         Ok(ServerHandle { shared, accept_threads, tcp_addr, damaged })
     }
 }
@@ -146,29 +255,34 @@ impl ServerHandle {
     /// was immediate, and releases the listeners. Records the drain
     /// duration in `serve.drain_micros`.
     pub fn wait(self) -> Result<(), ServeError> {
-        for t in self.accept_threads {
-            let _ = t.join();
-        }
-        // Listeners are gone. Drain the connections still in flight.
-        if self.shared.state() != STOPPING {
-            while self.shared.active_conns.load(Ordering::SeqCst) > 0
-                || self.shared.registry.total_in_flight() > 0
-            {
-                thread::sleep(Duration::from_millis(5));
-                if self.shared.state() == STOPPING {
-                    break;
-                }
+        let shared = &self.shared;
+        let mut drain = shared.lock_drain();
+        let woken = loop {
+            match &drain.woken {
+                Some(woken) => break woken.clone(),
+                None => drain = shared.wait_drained(drain),
+            }
+        };
+        drop(drain);
+        for (thread, woken) in self.accept_threads.into_iter().zip(woken) {
+            // A listener the wake could not reach stays blocked in
+            // `accept`; no client can reach it either, so it is detached.
+            if woken {
+                let _ = thread.join();
             }
         }
-        let started = self
-            .shared
-            .drain_started
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .unwrap_or_else(Instant::now);
+        // Listeners are gone. Drain the connections still in flight: each
+        // releases its tenant slot before it leaves `active_conns`.
+        let mut drain = shared.lock_drain();
+        while shared.state() != STOPPING && shared.active_conns.load(Ordering::SeqCst) > 0 {
+            drain = shared.wait_drained(drain);
+        }
+        let started = drain.started.unwrap_or_else(Instant::now);
+        drop(drain);
         let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         counters::SERVE_DRAIN_MICROS.store(micros);
-        if let Some(path) = &self.shared.cfg.unix {
+        // A later daemon on the same path keeps its socket file.
+        for path in shared.wakes.iter().filter_map(Wake::own_path) {
             let _ = std::fs::remove_file(path);
         }
         Ok(())
@@ -180,17 +294,14 @@ impl ServerHandle {
 /// deterministic jittered exponential backoff instead of letting the
 /// listener thread die silently. The loop only ends for real once the
 /// daemon leaves `RUNNING`.
-fn supervised_accept_loop<F>(shared: &Arc<Shared>, mut accept: F)
-where
-    F: FnMut() -> io::Result<Conn>,
-{
+fn supervised_accept_loop(shared: &Arc<Shared>, listener: &Listener) {
     let mut backoff = Backoff::new(
         Duration::from_millis(1),
         Duration::from_millis(100),
         shared.plan.config().seed,
     );
     loop {
-        let run = catch_unwind(AssertUnwindSafe(|| accept_loop(shared, &mut accept)));
+        let run = catch_unwind(AssertUnwindSafe(|| accept_loop(shared, listener, &mut backoff)));
         match run {
             Ok(()) => break,
             Err(_) => {
@@ -204,44 +315,50 @@ where
     }
 }
 
-fn accept_loop<F>(shared: &Arc<Shared>, accept: &mut F)
-where
-    F: FnMut() -> io::Result<Conn>,
-{
+fn accept_loop(shared: &Arc<Shared>, listener: &Listener, backoff: &mut Backoff) {
     while shared.state() == RUNNING {
-        match accept() {
-            Ok(conn) => {
-                let ordinal = shared.conn_seq.fetch_add(1, Ordering::SeqCst);
-                // Accept-path fault class: panic *before* the connection is
-                // handed to a worker, exercising the listener supervisor.
-                // The connection drops un-served; the client sees a reset.
-                if shared.plan.accept_fault(ordinal) {
-                    drop(conn);
-                    aprof_faults::injected_panic(format!(
-                        "injected panic in accept loop at connection {ordinal}"
-                    ));
-                }
-                let shared = Arc::clone(shared);
-                shared.active_conns.fetch_add(1, Ordering::SeqCst);
-                thread::spawn(move || {
-                    // Contain both injected and genuine worker panics: one
-                    // bad connection must not take the daemon down. Panics
-                    // that escape this far were not attributable to a
-                    // submitting tenant (those are caught — and settled —
-                    // inside `handle_submit`), but they still count as
-                    // supervised worker deaths.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        handle_conn(&shared, conn, ordinal);
-                    }));
-                    if outcome.is_err() {
-                        counters::SERVE_SUPERVISOR_WORKER_PANICS.incr();
-                    }
-                    shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-                });
+        let conn = match listener.accept() {
+            Ok(conn) => conn,
+            // A blocking accept fails at once (EMFILE, ECONNABORTED, …):
+            // back off rather than spin on it.
+            Err(_) => {
+                thread::sleep(backoff.next_delay());
+                continue;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
+        };
+        if shared.state() != RUNNING {
+            // Shutdown's wake-up, or a client that lost the race with it:
+            // dropped unserved, before it draws an ordinal.
+            break;
         }
+        let ordinal = shared.conn_seq.fetch_add(1, Ordering::SeqCst);
+        // Accept-path fault class: panic *before* the connection is
+        // handed to a worker, exercising the listener supervisor.
+        // The connection drops un-served; the client sees a reset.
+        if shared.plan.accept_fault(ordinal) {
+            drop(conn);
+            aprof_faults::injected_panic(format!(
+                "injected panic in accept loop at connection {ordinal}"
+            ));
+        }
+        backoff.reset();
+        let shared = Arc::clone(shared);
+        shared.active_conns.fetch_add(1, Ordering::SeqCst);
+        thread::spawn(move || {
+            // Contain both injected and genuine worker panics: one
+            // bad connection must not take the daemon down. Panics
+            // that escape this far were not attributable to a
+            // submitting tenant (those are caught — and settled —
+            // inside `handle_submit`), but they still count as
+            // supervised worker deaths.
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                handle_conn(&shared, conn, ordinal);
+            }));
+            if outcome.is_err() {
+                counters::SERVE_SUPERVISOR_WORKER_PANICS.incr();
+            }
+            shared.conn_done();
+        });
     }
 }
 
@@ -299,8 +416,10 @@ fn handle_conn(shared: &Shared, mut conn: Conn, ordinal: u64) {
             let _ = protocol::write_body(&mut conn, &aprof_obs::snapshot().to_json());
         }
         Request::Shutdown { now } => {
-            shared.request_shutdown(now);
+            // Reply first: an immediate stop lets `wait` return, and the
+            // daemon exit, as soon as the listeners are woken.
             let _ = writeln!(conn, "OK {}", if now { "stopping" } else { "draining" });
+            shared.request_shutdown(now);
         }
         Request::Http { path } => handle_http(shared, conn, &path),
     }
@@ -484,28 +603,53 @@ fn breaker_verdict(e: &ServeError) -> Outcome {
 }
 
 fn handle_submit(shared: &Shared, mut conn: Conn, tenant: &str, stream: &str, ordinal: u64) {
+    // No reply is a hard disconnect (see `refusal`).
+    let Some(reply) = submit_reply(shared, &mut conn, tenant, stream, ordinal) else { return };
+    let _ = writeln!(conn, "{reply}");
+    // Closing a TCP socket with unread input sends a reset, which can
+    // overtake the reply and destroy it; refusals leave the body unread.
+    // So half-close, then discard what the client still sends, for at
+    // most `LINGER`. A unix socket keeps the reply readable either way.
+    if let Conn::Tcp(_) = conn {
+        let _ = conn.shutdown_write();
+        let _ = conn.set_read_timeout(LINGER);
+        let deadline = Instant::now() + LINGER;
+        let mut sink = [0u8; 8192];
+        while Instant::now() < deadline && matches!(conn.read(&mut sink), Ok(n) if n > 0) {}
+    }
+}
+
+/// Runs one submission and returns its reply line.
+fn submit_reply(
+    shared: &Shared,
+    conn: &mut Conn,
+    tenant: &str,
+    stream: &str,
+    ordinal: u64,
+) -> Option<String> {
     if shared.state() != RUNNING {
         counters::SERVE_STREAMS_ABORTED.incr();
-        let _ = writeln!(conn, "ERR {}", ServeError::Draining);
-        return;
+        return Some(format!("ERR {}", ServeError::Draining));
     }
     if let Some(e) = shed_check(shared, tenant) {
         counters::SERVE_STREAMS_ABORTED.incr();
-        let _ = writeln!(conn, "ERR {e}");
-        return;
+        return Some(format!("ERR {e}"));
     }
     if let Err(e) = shared.breakers.admit(tenant) {
         counters::SERVE_STREAMS_ABORTED.incr();
-        let _ = writeln!(conn, "ERR {e}");
-        return;
+        return Some(format!("ERR {e}"));
     }
     // From here on every path settles the breaker — an unsettled half-open
-    // probe would wedge the tenant in quarantine.
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        submit_supervised(shared, &mut conn, tenant, stream, ordinal)
-    }));
+    // probe would wedge the tenant in quarantine — and settles it before
+    // the reply, so a client that resubmits at once meets the breaker its
+    // stream left behind.
+    let run =
+        catch_unwind(AssertUnwindSafe(|| submit_supervised(shared, conn, tenant, stream, ordinal)));
     match run {
-        Ok(outcome) => shared.breakers.settle(tenant, outcome),
+        Ok((outcome, reply)) => {
+            shared.breakers.settle(tenant, outcome);
+            reply
+        }
         Err(_) => {
             // The worker died mid-submission. The `SlotGuard` released the
             // tenant's in-flight slot during unwinding; finish the cleanup,
@@ -514,20 +658,28 @@ fn handle_submit(shared: &Shared, mut conn: Conn, tenant: &str, stream: &str, or
             counters::SERVE_STREAMS_ABORTED.incr();
             shared.spool.discard_part(tenant, stream);
             shared.breakers.settle(tenant, Outcome::Failure);
-            let _ = writeln!(conn, "ERR internal: worker panicked (supervised); stream discarded");
+            Some("ERR internal: worker panicked (supervised); stream discarded".to_owned())
         }
     }
 }
 
-/// The supervised body of one submission; the caller catches panics and
-/// settles the returned breaker verdict.
+/// The `ERR` reply to a refused stream. `None` when `trap = false`
+/// selects a hard disconnect over a graceful quota refusal (the VM
+/// limits' abort-vs-trap distinction).
+fn refusal(shared: &Shared, e: &ServeError) -> Option<String> {
+    (shared.cfg.quota.trap || !matches!(e, ServeError::Quota(_))).then(|| format!("ERR {e}"))
+}
+
+/// The supervised body of one submission. Returns the breaker verdict and
+/// the reply line; the caller catches panics, settles the verdict, then
+/// replies.
 fn submit_supervised(
     shared: &Shared,
     conn: &mut Conn,
     tenant: &str,
     stream: &str,
     ordinal: u64,
-) -> Outcome {
+) -> (Outcome, Option<String>) {
     // Worker fault classes re-drawn here (same pure decision as
     // `handle_conn`) so an injected panic lands inside the supervised
     // region.
@@ -542,12 +694,7 @@ fn submit_supervised(
         Ok(a) => a,
         Err(e) => {
             counters::SERVE_STREAMS_ABORTED.incr();
-            // `trap = false` selects hard disconnects over graceful
-            // refusals (the VM limits' abort-vs-trap distinction).
-            if shared.cfg.quota.trap || !matches!(e, ServeError::Quota(_)) {
-                let _ = writeln!(conn, "ERR {e}");
-            }
-            return breaker_verdict(&e);
+            return (breaker_verdict(&e), refusal(shared, &e));
         }
     };
     let slot = match admission {
@@ -555,8 +702,7 @@ fn submit_supervised(
             // Drain the body so the peer's writes don't die on a reset,
             // then acknowledge idempotently.
             let _ = io::copy(conn, &mut io::sink());
-            let _ = writeln!(conn, "OK events=0 chunks=0 duplicate=1");
-            return Outcome::Success;
+            return (Outcome::Success, Some("OK events=0 chunks=0 duplicate=1".to_owned()));
         }
         Admission::Slot(slot) => slot,
     };
@@ -565,8 +711,7 @@ fn submit_supervised(
     let outcome = match ingest(shared, conn, tenant, stream, slot.events_budget(), started) {
         Ok((events, chunks)) => {
             counters::SERVE_CHUNKS_AGGREGATED.add(u64::from(chunks));
-            let _ = writeln!(conn, "OK events={events} chunks={chunks}");
-            Outcome::Success
+            (Outcome::Success, Some(format!("OK events={events} chunks={chunks}")))
         }
         Err(e) => {
             shared.spool.discard_part(tenant, stream);
@@ -581,10 +726,7 @@ fn submit_supervised(
             } else {
                 e
             };
-            if shared.cfg.quota.trap || !matches!(e, ServeError::Quota(_)) {
-                let _ = writeln!(conn, "ERR {e}");
-            }
-            breaker_verdict(&e)
+            (breaker_verdict(&e), refusal(shared, &e))
         }
     };
     drop(slot);

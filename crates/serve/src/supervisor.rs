@@ -161,8 +161,8 @@ impl BreakerBank {
 }
 
 /// Deterministic jittered exponential backoff schedule for supervisor
-/// restarts: wraps [`jittered_backoff`] with an attempt counter that
-/// resets after a period of health.
+/// restarts and accept errors: wraps [`jittered_backoff`] with an attempt
+/// counter that [`Backoff::reset`] rewinds once the loop is healthy again.
 pub(crate) struct Backoff {
     base: Duration,
     cap: Duration,
@@ -181,6 +181,13 @@ impl Backoff {
         let d = jittered_backoff(self.base, self.cap, self.seed, self.attempt);
         self.attempt = self.attempt.saturating_add(1);
         d
+    }
+
+    /// Rewinds the schedule: the next delay is drawn from `[base/2, base]`
+    /// again. The accept loop calls it on each connection it hands to a
+    /// worker.
+    pub(crate) fn reset(&mut self) {
+        self.attempt = 0;
     }
 }
 
@@ -277,5 +284,18 @@ mod tests {
             last = d;
         }
         assert!(last >= Duration::from_millis(32), "{last:?}");
+    }
+
+    #[test]
+    fn backoff_reset_rewinds_to_base() {
+        let (base, cap) = (Duration::from_millis(1), Duration::from_millis(100));
+        let mut b = Backoff::new(base, cap, 7);
+        for _ in 0..10 {
+            b.next_delay();
+        }
+        assert!(b.next_delay() >= cap / 2, "the delay never reached the cap");
+        b.reset();
+        let d = b.next_delay();
+        assert!((base / 2..=base).contains(&d), "{d:?}");
     }
 }

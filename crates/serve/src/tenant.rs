@@ -229,12 +229,6 @@ impl Registry {
             .collect()
     }
 
-    /// Total streams currently decoding across all tenants (drain waits on
-    /// this reaching zero).
-    pub(crate) fn total_in_flight(&self) -> usize {
-        self.lock().values().map(|t| t.in_flight).sum()
-    }
-
     /// Committed spool footprint across all tenants, in 8-byte cells (the
     /// load shedder's spool-headroom input).
     pub(crate) fn total_spooled_cells(&self) -> u64 {

@@ -8,7 +8,9 @@
 
 use aprof_core::ProfileReport;
 use aprof_faults::FaultConfig;
-use aprof_serve::{client, one_shot_profile, RetryPolicy, ServeConfig, ServeError, Server, Target};
+use aprof_serve::{
+    client, one_shot_profile, RetryPolicy, ServeConfig, ServeError, Server, ServerHandle, Target,
+};
 use aprof_trace::{Event, NullTool, RoutineTable, ThreadId};
 use aprof_vm::ResourceLimits;
 use aprof_wire::{WireOptions, WireWriter};
@@ -16,7 +18,8 @@ use aprof_workloads::{by_name, WorkloadParams};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 /// A fresh scratch directory per call (unique across tests and runs).
 fn scratch(label: &str) -> PathBuf {
@@ -60,6 +63,41 @@ fn unix_config(dir: &Path) -> (ServeConfig, Target) {
     (cfg, Target::Unix(sock))
 }
 
+/// The listener a test runs over: the unix socket of [`unix_config`], or
+/// TCP on `127.0.0.1:0`.
+#[derive(Debug, Clone, Copy)]
+enum Listen {
+    Unix,
+    Tcp,
+}
+
+/// Starts a daemon with `cfg` listening only on `listen`, and returns it
+/// with the client target that reaches it.
+fn start_on(listen: Listen, dir: &Path, mut cfg: ServeConfig) -> (ServerHandle, Target) {
+    match listen {
+        Listen::Unix => {
+            let sock = dir.join("daemon.sock");
+            cfg.unix = Some(sock.clone());
+            (Server::start(cfg).unwrap(), Target::Unix(sock))
+        }
+        Listen::Tcp => {
+            cfg.tcp = Some("127.0.0.1:0".into());
+            let server = Server::start(cfg).unwrap();
+            let target = Target::Tcp(server.tcp_addr().unwrap().to_string());
+            (server, target)
+        }
+    }
+}
+
+/// Joins the daemon on another thread, so that a shutdown which never
+/// wakes a listener fails the test instead of hanging it.
+fn wait_bounded(server: ServerHandle) {
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || done.send(server.wait()));
+    let outcome = finished.recv_timeout(Duration::from_secs(10));
+    outcome.expect("wait() did not return within 10 s").unwrap();
+}
+
 #[test]
 fn unix_round_trip_profile_report_obs() {
     aprof_obs::enable();
@@ -98,7 +136,7 @@ fn unix_round_trip_profile_report_obs() {
     assert!(client::fetch_profile(&target, "nobody").is_err());
 
     client::shutdown(&target, false).unwrap();
-    server.wait().unwrap();
+    wait_bounded(server);
     let snap = aprof_obs::snapshot();
     assert!(snap.counter("serve.streams_committed").unwrap_or(0) >= 1);
     assert!(snap.counter("serve.drain_micros").is_some());
@@ -135,7 +173,7 @@ fn http_endpoints_over_tcp() {
     assert!(get("/nonsense").contains("404"));
 
     server.shutdown(false);
-    server.wait().unwrap();
+    wait_bounded(server);
 }
 
 #[test]
@@ -176,7 +214,7 @@ fn concurrent_tenants_are_byte_identical_to_one_shot_replay() {
     assert_eq!(client::fetch_profile(&target, "beta").unwrap(), beta);
 
     server.shutdown(false);
-    server.wait().unwrap();
+    wait_bounded(server);
 }
 
 /// A wire trace of one activation of `f` that costs `cost` blocks.
@@ -189,6 +227,20 @@ fn one_activation(cost: u64) -> Vec<u8> {
     {
         writer.push(ThreadId::new(0), event).unwrap();
     }
+    writer.finish().unwrap().0
+}
+
+/// A valid trace of about 1 MB, larger than a unix socket's buffer.
+fn oversized_trace() -> Vec<u8> {
+    let mut names = RoutineTable::new();
+    let f = names.intern("f");
+    let mut writer = WireWriter::create(Vec::new(), &names, WireOptions::default()).unwrap();
+    let t = ThreadId::new(0);
+    writer.push(t, Event::Call { routine: f }).unwrap();
+    for cost in 0..400_000 {
+        writer.push(t, Event::BasicBlock { cost }).unwrap();
+    }
+    writer.push(t, Event::Return { routine: f }).unwrap();
     writer.finish().unwrap().0
 }
 
@@ -213,13 +265,13 @@ fn out_of_order_commits_past_2_53_match_the_one_shot_merge() {
         let tenants = client::fetch_tenants(&target).unwrap();
         assert!(tenants.contains("web streams=3"), "unexpected listing: {tenants}");
         server.shutdown(false);
-        server.wait().unwrap();
+        wait_bounded(server);
     }
     let server = Server::start(cfg).unwrap();
     assert!(server.damaged.is_empty());
     assert_eq!(client::fetch_profile(&target, "web").unwrap(), expected);
     server.shutdown(false);
-    server.wait().unwrap();
+    wait_bounded(server);
 }
 
 #[test]
@@ -235,7 +287,7 @@ fn restart_recovers_committed_streams_byte_identically() {
         client::submit(&target, "web", "a-1", &mut &t1[..]).unwrap();
         client::submit(&target, "web", "a-2", &mut &t2[..]).unwrap();
         server.shutdown(true); // immediate stop, no graceful drain
-        server.wait().unwrap();
+        wait_bounded(server);
     }
     let expected = oracle_text(&[&t1, &t2]);
 
@@ -255,7 +307,7 @@ fn restart_recovers_committed_streams_byte_identically() {
     assert_eq!(client::fetch_profile(&target, "web").unwrap(), expected);
 
     server.shutdown(false);
-    server.wait().unwrap();
+    wait_bounded(server);
 }
 
 #[test]
@@ -273,7 +325,7 @@ fn damaged_spool_files_are_reported_not_dropped() {
     assert!(bad.exists(), "damaged files stay on disk for inspection");
 
     server.shutdown(true);
-    server.wait().unwrap();
+    wait_bounded(server);
 }
 
 #[test]
@@ -297,7 +349,7 @@ fn event_quota_refuses_oversized_streams() {
     assert!(!cfg.spool.join("web").join("big.part").exists());
 
     server.shutdown(false);
-    server.wait().unwrap();
+    wait_bounded(server);
 }
 
 #[test]
@@ -315,7 +367,7 @@ fn spool_cells_quota_refuses_commit() {
     assert!(!cfg.spool.join("web").join("fat.part").exists());
 
     server.shutdown(false);
-    server.wait().unwrap();
+    wait_bounded(server);
 }
 
 #[test]
@@ -352,23 +404,92 @@ fn backpressure_queues_then_refuses_busy() {
     assert!(tenants.contains("web streams=1"), "only the acked stream counts: {tenants}");
 
     server.shutdown(false);
-    server.wait().unwrap();
+    wait_bounded(server);
 }
 
 #[test]
 fn draining_daemon_refuses_new_streams_then_stops() {
+    for listen in [Listen::Unix, Listen::Tcp] {
+        drain_then_stop(listen);
+    }
+}
+
+fn drain_then_stop(listen: Listen) {
     aprof_obs::enable();
     let dir = scratch("drain");
-    let (cfg, target) = unix_config(&dir);
-    let server = Server::start(cfg).unwrap();
+    let (server, target) = start_on(listen, &dir, ServeConfig::new(dir.join("spool")));
 
     let trace = record_workload("algo.insertion_sort", 36);
     client::submit(&target, "web", "s-1", &mut &trace[..]).unwrap();
     client::shutdown(&target, false).unwrap();
-    server.wait().unwrap();
+    wait_bounded(server);
 
     // Listeners are gone after the drain completes.
+    assert!(client::ping(&target).is_err(), "{listen:?} still answers");
+}
+
+#[test]
+fn unspecified_tcp_address_is_woken_through_loopback() {
+    let dir = scratch("anyaddr");
+    let mut cfg = ServeConfig::new(dir.join("spool"));
+    cfg.tcp = Some("0.0.0.0:0".into());
+    // No connection ever arrives: only the shutdown's own wake-up, sent to
+    // 127.0.0.1, can end the blocking accept. (Linux also routes a connect
+    // to 0.0.0.0 to the local host, so there the mapping itself is not
+    // what this test can tell apart.)
+    let server = Server::start(cfg).unwrap();
+    server.shutdown(false);
+    wait_bounded(server);
+}
+
+#[test]
+fn wait_returns_when_the_socket_file_is_removed() {
+    let dir = scratch("unlinked");
+    let (cfg, target) = unix_config(&dir);
+    let Target::Unix(sock) = &target else { unreachable!() };
+    let server = Server::start(cfg).unwrap();
+    client::ping(&target).unwrap();
+    std::fs::remove_file(sock).unwrap();
+    server.shutdown(false);
+    wait_bounded(server);
+}
+
+#[test]
+fn a_second_daemon_on_the_same_path_outlives_the_first() {
+    let dir = scratch("samepath");
+    let (cfg, target) = unix_config(&dir);
+    let first = Server::start(cfg.clone()).unwrap();
+    // The second daemon unlinks the first one's live socket and binds its
+    // own file at the same path.
+    let mut second_cfg = cfg;
+    second_cfg.spool = dir.join("spool2");
+    let second = Server::start(second_cfg).unwrap();
+
+    first.shutdown(false);
+    wait_bounded(first);
+    // The first daemon's exit left the second one's socket in place.
+    client::ping(&target).unwrap();
+    second.shutdown(false);
+    wait_bounded(second);
     assert!(client::ping(&target).is_err());
+}
+
+#[test]
+fn an_idle_daemon_answers_without_an_accept_delay() {
+    let dir = scratch("idle");
+    let (cfg, target) = unix_config(&dir);
+    let server = Server::start(cfg).unwrap();
+    let mut pings: Vec<Duration> = (0..21)
+        .map(|_| {
+            let t = Instant::now();
+            client::ping(&target).unwrap();
+            t.elapsed()
+        })
+        .collect();
+    pings.sort();
+    assert!(pings[10] < Duration::from_millis(5), "median ping {:?}", pings[10]);
+    server.shutdown(false);
+    wait_bounded(server);
 }
 
 /// Counter delta helper: obs counters are process-global, so assertions
@@ -429,7 +550,7 @@ fn worker_panics_are_supervised_and_feed_the_breaker() {
     assert!(!cfg.spool.join("web").join("s-1.part").exists());
 
     server.shutdown(true);
-    server.wait().unwrap();
+    wait_bounded(server);
 }
 
 #[test]
@@ -468,18 +589,24 @@ fn breaker_recovers_through_a_half_open_probe() {
     client::submit(&target, "web", "g-2", &mut &good[..]).unwrap();
 
     server.shutdown(false);
-    server.wait().unwrap();
+    wait_bounded(server);
 }
 
 #[test]
 fn listener_panics_restart_the_accept_loop() {
+    for listen in [Listen::Unix, Listen::Tcp] {
+        listener_restarts(listen);
+    }
+}
+
+fn listener_restarts(listen: Listen) {
     aprof_obs::enable();
     let dir = scratch("listener");
-    let (mut cfg, target) = unix_config(&dir);
+    let mut cfg = ServeConfig::new(dir.join("spool"));
     // Every accepted connection panics in the accept loop itself, before
     // a worker exists; the supervisor must keep restarting the loop.
     cfg.faults = Some(FaultConfig { accept_panic_per_mille: 1000, ..FaultConfig::off(11) });
-    let server = Server::start(cfg).unwrap();
+    let (server, target) = start_on(listen, &dir, cfg);
 
     let restarts_before = counter("serve.supervisor.listener_restarts");
     for _ in 0..3 {
@@ -493,33 +620,43 @@ fn listener_panics_restart_the_accept_loop() {
 
     // The daemon is still alive and stoppable through its handle.
     server.shutdown(true);
-    server.wait().unwrap();
+    wait_bounded(server);
 }
 
 #[test]
 fn conn_pressure_sheds_with_retry_after() {
+    for listen in [Listen::Unix, Listen::Tcp] {
+        conn_pressure_sheds(listen);
+    }
+}
+
+fn conn_pressure_sheds(listen: Listen) {
     aprof_obs::enable();
     let dir = scratch("shedconn");
-    let (mut cfg, target) = unix_config(&dir);
+    let mut cfg = ServeConfig::new(dir.join("spool"));
     cfg.shed.max_active_conns = 0; // the submitting connection itself is over the ceiling
     cfg.shed.retry_after = Duration::from_millis(350);
-    let server = Server::start(cfg).unwrap();
+    let (server, target) = start_on(listen, &dir, cfg);
 
-    let trace = record_workload("algo.insertion_sort", 32);
     let shed_before = counter("serve.shed.conn_pressure");
-    let err = client::submit(&target, "web", "s-1", &mut &trace[..]).unwrap_err();
-    match err {
-        ServeError::Busy { retry_after } => {
-            assert_eq!(retry_after, Duration::from_millis(350), "retry-after hint round-trips");
+    // The daemon sheds without reading the body. The second trace outgrows
+    // the socket buffer, so the daemon hangs up while the client is still
+    // writing it: the client must report the shed, not the broken pipe.
+    for trace in [record_workload("algo.insertion_sort", 32), oversized_trace()] {
+        let err = client::submit(&target, "web", "s-1", &mut &trace[..]).unwrap_err();
+        match err {
+            ServeError::Busy { retry_after } => {
+                assert_eq!(retry_after, Duration::from_millis(350), "retry-after hint round-trips");
+            }
+            other => panic!("expected a busy shed over {listen:?}, got: {other}"),
         }
-        other => panic!("expected a busy shed, got: {other}"),
     }
-    assert!(counter("serve.shed.conn_pressure") > shed_before);
+    assert!(counter("serve.shed.conn_pressure") >= shed_before + 2);
     // Queries are never shed — only ingest work is refused.
     client::ping(&target).unwrap();
 
     server.shutdown(false);
-    server.wait().unwrap();
+    wait_bounded(server);
 }
 
 #[test]
@@ -548,7 +685,7 @@ fn spool_and_tenant_pressure_shed_deterministically() {
     assert!(counter("serve.shed.spool_pressure") > spool_before, "spool headroom check fires first");
 
     server.shutdown(false);
-    server.wait().unwrap();
+    wait_bounded(server);
 
     // Same scenario with unlimited spool: now the *tenant-pressure* check
     // is what sheds the second stream (s-1 committed `events` events, 10%
@@ -571,7 +708,7 @@ fn spool_and_tenant_pressure_shed_deterministically() {
     client::submit(&target, "other", "s-1", &mut &trace[..]).unwrap();
 
     server.shutdown(false);
-    server.wait().unwrap();
+    wait_bounded(server);
 }
 
 #[test]
@@ -609,7 +746,7 @@ fn submit_retrying_rides_out_backpressure() {
     });
 
     server.shutdown(false);
-    server.wait().unwrap();
+    wait_bounded(server);
 }
 
 #[test]
@@ -652,7 +789,7 @@ fn slow_loris_is_evicted_at_the_stream_deadline() {
     assert!(ack.events > 0);
 
     server.shutdown(false);
-    server.wait().unwrap();
+    wait_bounded(server);
 }
 
 #[test]
@@ -682,5 +819,5 @@ fn corrupt_submission_is_refused_and_not_spooled() {
     assert!(!cfg.spool.join("web").join("cut.wire").exists());
 
     server.shutdown(false);
-    server.wait().unwrap();
+    wait_bounded(server);
 }

@@ -1961,7 +1961,11 @@ fn report_sections(
 
 fn summary_table(report: &ProfileReport, limit: usize) -> Table {
     let mut routines: Vec<_> = report.routines.iter().collect();
-    routines.sort_by_key(|r| std::cmp::Reverse(r.merged.total_cost));
+    // Ties break by name: one trace and a merge of several list the same
+    // routines in different orders.
+    routines.sort_by(|a, b| {
+        b.merged.total_cost.cmp(&a.merged.total_cost).then_with(|| a.name.cmp(&b.name))
+    });
     let mut table = Table::new(vec![
         "routine".into(),
         "calls".into(),

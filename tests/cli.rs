@@ -152,6 +152,25 @@ fn record_replay_matches_in_memory_run() {
 }
 
 #[test]
+fn replay_of_one_trace_and_of_a_merge_order_routines_alike() {
+    let dir = std::env::temp_dir().join(format!("aprof-cli-test-order-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (wire, one, two) = (dir.join("t.wire"), dir.join("one.csv"), dir.join("two.csv"));
+    let wire_s = wire.to_str().unwrap();
+    // `producer` and `consumer` cost the same, so only the tie-break orders
+    // them.
+    run_ok(&["record", wire_s, "--workload", "producer_consumer"]);
+    run_ok(&["replay", wire_s, "--csv", one.to_str().unwrap()]);
+    run_ok(&["replay", wire_s, wire_s, "--csv", two.to_str().unwrap()]);
+    let routines = |csv: &std::path::Path| -> Vec<String> {
+        let text = std::fs::read_to_string(csv).unwrap();
+        text.lines().skip(1).map(|l| l.split(',').next().unwrap().to_owned()).collect()
+    };
+    assert_eq!(routines(&one), routines(&two));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn trace_info_describes_a_wire_file() {
     let dir = std::env::temp_dir().join("aprof-cli-test-wire");
     std::fs::create_dir_all(&dir).unwrap();
