@@ -181,7 +181,7 @@ fn main() {
         std::process::exit(1);
     }
     if bench_wire_json {
-        let report = aprof_bench::wire_report(driver::jobs());
+        let report = aprof_bench::wire_report();
         let path = Path::new("BENCH_wire.json");
         match std::fs::write(path, report.render()) {
             Ok(()) => println!("wrote {}", path.display()),

@@ -147,8 +147,9 @@ fn wire_checks(baseline: &str, current: &Json) -> Result<Vec<Check>, String> {
     Ok(checks)
 }
 
-/// Runs the bench-delta gate: re-measures both reports with `jobs` workers
-/// and compares dimensionless metrics against the baseline file contents.
+/// Runs the bench-delta gate: re-measures both reports (the parallel-driver
+/// one with `jobs` workers) and compares dimensionless metrics against the
+/// baseline file contents.
 ///
 /// Returns `Ok(report)` when every metric is within `tolerance` of its
 /// baseline (in the bad direction), `Err(report)` when any regressed.
@@ -159,7 +160,7 @@ pub fn bench_gate(
     tolerance: f64,
 ) -> Result<String, String> {
     let driver_now = crate::parallel_driver_report(jobs);
-    let wire_now = crate::wire_report(jobs);
+    let wire_now = crate::wire_report();
     let mut checks = driver_checks(driver_baseline, &driver_now).map_err(|e| format!("{e}\n"))?;
     checks.extend(wire_checks(wire_baseline, &wire_now).map_err(|e| format!("{e}\n"))?);
 

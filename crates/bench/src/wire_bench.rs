@@ -2,13 +2,13 @@
 //!
 //! Captures one deterministic workload run, then measures the chunked
 //! binary trace format against the text format on the axes the design
-//! cares about: encode throughput, sequential and parallel decode
-//! throughput (events per second), and wire-vs-text size ratio.
+//! cares about: encode and decode throughput (events per second), and
+//! wire-vs-text size ratio.
 
 use crate::driver::Json;
 use crate::{bench_size, best_of};
 use aprof_trace::{textio, RecordingTool, Trace};
-use aprof_wire::{WireOptions, WireReader, WireWriter};
+use aprof_wire::{WireOptions, WireReader, WireSummary, WireWriter};
 use aprof_workloads::{by_name, WorkloadParams};
 
 /// The reference workload captured for the measurement. `350.md` is the
@@ -16,22 +16,20 @@ use aprof_workloads::{by_name, WorkloadParams};
 const WORKLOAD: &str = "350.md";
 
 /// Chunk payload target for the benchmark. The 64 KiB default would hold
-/// the whole benchmark trace in one chunk; 4 KiB yields enough chunks for
-/// the parallel-decode measurement to mean something while staying in the
-/// format's realistic operating range.
+/// the whole benchmark trace in one chunk; 4 KiB yields several chunks, so
+/// per-chunk framing and CRC work is part of what is timed, while staying
+/// in the format's realistic operating range.
 const BENCH_CHUNK_BYTES: usize = 4096;
 
 /// Generates the `BENCH_wire.json` report.
 ///
 /// All phases re-use one captured event stream, so the encode, decode and
-/// size numbers describe the same trace. Parallel decode shards whole
-/// chunks over the [`driver`](crate::driver) worker pool via the trailing
-/// chunk index — the access pattern a multi-threaded replayer would use.
-pub fn wire_report(jobs: usize) -> Json {
-    wire_report_sized(jobs, bench_size())
+/// size numbers describe the same trace.
+pub fn wire_report() -> Json {
+    wire_report_sized(bench_size())
 }
 
-fn wire_report_sized(jobs: usize, size: u64) -> Json {
+fn wire_report_sized(size: u64) -> Json {
     let wl = by_name(WORKLOAD).expect("reference workload registered");
     let params = WorkloadParams::new(size, 4);
     let mut machine = wl.build(&params);
@@ -45,7 +43,7 @@ fn wire_report_sized(jobs: usize, size: u64) -> Json {
     }
     let events = trace.len() as u64;
 
-    let encode = || -> Vec<u8> {
+    let encode = || -> (Vec<u8>, WireSummary) {
         let mut writer =
             WireWriter::create(
                 Vec::new(),
@@ -56,12 +54,12 @@ fn wire_report_sized(jobs: usize, size: u64) -> Json {
         for te in trace.events() {
             writer.push(te.thread, te.event).expect("event encodes");
         }
-        writer.finish().expect("trace seals").0
+        writer.finish().expect("trace seals")
     };
     let encode_secs = best_of(7, || {
         encode();
     });
-    let wire = encode();
+    let (wire, summary) = encode();
     let text = textio::to_text(&trace);
 
     let decode_secs = best_of(7, || {
@@ -71,18 +69,6 @@ fn wire_report_sized(jobs: usize, size: u64) -> Json {
             r.expect("valid event");
             decoded += 1;
         }
-        assert_eq!(decoded, events);
-    });
-
-    let index = aprof_wire::read_index(&mut std::io::Cursor::new(&wire)).expect("valid index");
-    let chunks = index.entries.len();
-    let par_decode_secs = best_of(7, || {
-        // The production strategy: contiguous chunk ranges sharded over
-        // scoped threads, one reader and one scratch buffer per worker,
-        // with a sequential fallback below the parallelism break-even.
-        let shards = aprof_wire::decode_chunks(|| Ok(std::io::Cursor::new(&wire)), &index, jobs)
-            .expect("valid chunks");
-        let decoded: u64 = shards.iter().map(|s| s.len() as u64).sum();
         assert_eq!(decoded, events);
     });
 
@@ -97,31 +83,18 @@ fn wire_report_sized(jobs: usize, size: u64) -> Json {
         ("workload".into(), Json::Str(WORKLOAD.into())),
         ("size".into(), Json::Int(size)),
         ("events".into(), Json::Int(events)),
-        ("chunks".into(), Json::Int(chunks as u64)),
+        ("chunks".into(), Json::Int(u64::from(summary.chunks))),
         ("chunk_bytes".into(), Json::Int(BENCH_CHUNK_BYTES as u64)),
         ("wire_bytes".into(), Json::Int(wire.len() as u64)),
         ("text_bytes".into(), Json::Int(text.len() as u64)),
         ("wire_vs_text_size_ratio".into(), Json::Num(wire.len() as f64 / text.len() as f64)),
         ("encode_events_per_sec".into(), Json::Num(ev / encode_secs)),
         ("decode_events_per_sec".into(), Json::Num(ev / decode_secs)),
-        ("parallel_decode_jobs".into(), Json::Int(jobs.max(1) as u64)),
-        ("parallel_decode_events_per_sec".into(), Json::Num(ev / par_decode_secs)),
-        ("parallel_decode_speedup".into(), Json::Num(decode_secs / par_decode_secs)),
-        ("parallel_decode_speedup_before_fix".into(), Json::Num(0.656456)),
-        ("parallel_min_bytes".into(), Json::Int(aprof_wire::PARALLEL_MIN_BYTES)),
         ("text_decode_events_per_sec".into(), Json::Num(ev / text_decode_secs)),
         ("decode_vs_text_speedup".into(), Json::Num(text_decode_secs / decode_secs)),
         (
             "note".into(),
-            Json::Str(
-                "one captured run of the reference workload, best-of-7 timings; \
-                 parallel decode uses decode_chunks: contiguous chunk ranges over \
-                 scoped threads with per-worker scratch buffers, falling back to \
-                 sequential below parallel_min_bytes of payload — the fix for the \
-                 0.66x regression the old per-chunk thread-pool strategy measured \
-                 on this small trace (kept as *_before_fix)"
-                    .into(),
-            ),
+            Json::Str("one captured run of the reference workload, best-of-7 timings".into()),
         ),
     ])
 }
@@ -132,14 +105,9 @@ mod tests {
 
     #[test]
     fn wire_report_has_sane_fields() {
-        let report = wire_report_sized(2, 48);
+        let report = wire_report_sized(48);
         let rendered = report.render();
-        for key in [
-            "wire_vs_text_size_ratio",
-            "decode_events_per_sec",
-            "parallel_decode_speedup",
-            "chunks",
-        ] {
+        for key in ["wire_vs_text_size_ratio", "decode_events_per_sec", "chunks"] {
             assert!(rendered.contains(key), "missing {key} in:\n{rendered}");
         }
         let Json::Obj(fields) = &report else { panic!("report is an object") };

@@ -164,9 +164,11 @@ pub mod counters {
     /// Bytes held in profiler shadow memories at finish (gauge).
     pub static PROF_SHADOW_BYTES: Counter = Counter::new("prof.shadow_bytes");
 
-    /// Secondary tables allocated by the three-level shadow memory.
+    /// Page-directory doublings of the paged shadow memory (the name
+    /// predates that design).
     pub static SHADOW_SECONDARY_ALLOCS: Counter = Counter::new("shadow.secondary_allocs");
-    /// Leaf chunks allocated by the three-level shadow memory.
+    /// Pages allocated by the paged shadow memory (the name predates that
+    /// design).
     pub static SHADOW_CHUNK_ALLOCS: Counter = Counter::new("shadow.chunk_allocs");
 
     /// Chunks sealed and flushed by the wire writer.
@@ -634,5 +636,42 @@ mod tests {
             String::new()
         });
         assert!(!called);
+    }
+
+    /// DESIGN.md §9 and the code must agree: the §9.2 table lists exactly
+    /// the counters of `counters::ALL`, in order, and §9.3 documents the
+    /// current `SCHEMA_VERSION` and counter count.
+    #[test]
+    fn design_md_counter_taxonomy_does_not_drift() {
+        let design = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../DESIGN.md"
+        ))
+        .expect("DESIGN.md readable from crates/obs");
+        let section = |heading: &str, next: &str| -> &str {
+            let start = design.find(heading).unwrap_or_else(|| panic!("no {heading}"));
+            let len = design[start..].find(next).unwrap_or_else(|| panic!("no {next}"));
+            &design[start..start + len]
+        };
+
+        let table: Vec<&str> = section("### 9.2 ", "### 9.3 ")
+            .lines()
+            .filter_map(|row| row.strip_prefix("| `"))
+            .flat_map(|row| {
+                let first_cell = row.split(" |").next().unwrap_or_default();
+                first_cell.split('`').step_by(2)
+            })
+            .collect();
+        let code: Vec<&str> = counters::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(table, code, "DESIGN.md §9.2 counter table vs counters::ALL");
+
+        let schema = section("### 9.3 ", "### 9.4 ");
+        for want in [
+            format!("schema (version {SCHEMA_VERSION})"),
+            format!("\"version\": {SCHEMA_VERSION}"),
+            format!("(all {},", counters::ALL.len()),
+        ] {
+            assert!(schema.contains(&want), "DESIGN.md §9.3 lacks {want:?}");
+        }
     }
 }

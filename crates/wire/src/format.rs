@@ -19,7 +19,7 @@
 //! Chunk payloads are self-contained: the delta state (previous thread,
 //! address, routine) resets at every chunk boundary, so a chunk can be
 //! decoded in isolation — the basis of both corrupt-chunk skipping and
-//! parallel decode. Each event is one tag byte (low 4 bits: event kind,
+//! crash salvage. Each event is one tag byte (low 4 bits: event kind,
 //! bit 4: "explicit thread id follows") plus varint operands; addresses and
 //! routine ids are zigzag deltas against the previous value in the chunk.
 
@@ -179,8 +179,7 @@ impl DeltaState {
 /// Decodes a full chunk payload into `out` (cleared first), verifying the
 /// event count declared by the framing.
 ///
-/// Used by the sequential reader and directly by parallel chunk decoders
-/// working off the [index](crate::WireIndex).
+/// [`WireReader`](crate::WireReader) runs it on every chunk it reads.
 ///
 /// # Errors
 ///

@@ -13,9 +13,12 @@
 //!   `(thread, event)` pairs holding one chunk at a time, so a
 //!   multi-gigabyte trace replays without materializing a
 //!   [`Trace`](aprof_trace::Trace)), and
-//! * **sliced** for random or parallel access ([`read_index`] +
-//!   [`read_chunk`] decode any chunk independently, since delta state
-//!   resets at chunk boundaries).
+//! * **salvaged** after a crash ([`recover`] keeps the longest run of
+//!   intact chunks, which decode independently since delta state resets
+//!   at chunk boundaries).
+//!
+//! [`WireReader`] is the only code that reads a wire file: [`recover`]
+//! drives a strict reader record by record.
 //!
 //! Corruption is a first-class citizen: every structure is covered by a
 //! CRC-32 or a cross-check, malformed input always yields a typed
@@ -56,7 +59,6 @@
 pub mod crc32;
 mod error;
 pub mod format;
-mod parallel;
 mod reader;
 mod recover;
 pub mod varint;
@@ -64,8 +66,7 @@ mod writer;
 
 pub use error::{SkippedChunk, WireError};
 pub use format::{ChunkEntry, WireIndex, MAX_CHUNK_BYTES, VERSION};
-pub use parallel::{decode_chunks, decode_chunks_with, PARALLEL_MIN_BYTES};
-pub use reader::{read_chunk, read_index, ReaderStats, WireReader};
+pub use reader::{ReaderStats, WireReader};
 pub use recover::{recover, RecoverSummary, StopReason};
 pub use writer::{
     DurableFile, FlushPolicy, WireOptions, WireSummary, WireWriter, DEFAULT_CHUNK_BYTES,

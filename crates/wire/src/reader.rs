@@ -1,4 +1,5 @@
-//! Streaming wire-trace replay and random-access chunk decode.
+//! Streaming wire-trace replay: the one module that reads a header, a
+//! chunk frame or an index.
 
 use crate::crc32::crc32;
 use crate::error::{SkippedChunk, WireError};
@@ -8,10 +9,20 @@ use crate::format::{
 };
 use crate::varint;
 use aprof_trace::{Event, RoutineTable, ThreadId};
-use std::io::{Read, Seek, SeekFrom};
+use std::io::Read;
 
-/// Ceiling on index entry counts, protecting readers from corrupt counts.
-const MAX_INDEX_ENTRIES: u32 = 1 << 26;
+/// Context of the [`WireError::UnexpectedEof`] raised when the input ends
+/// where a record tag should start, i.e. on a record boundary.
+pub(crate) const RECORD_TAG: &str = "record tag (file truncated before the chunk index)";
+
+/// One record read by [`WireReader::read_record`].
+pub(crate) enum Record {
+    /// A chunk: `true` when its events are loaded, `false` when lenient
+    /// recovery skipped it.
+    Chunk(bool),
+    /// The index tag, at this byte offset. The index itself is not read.
+    Index(u64),
+}
 
 /// Progress counters of a [`WireReader`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,7 +55,7 @@ pub struct ReaderStats {
 /// The iterator is fused: after yielding an `Err` it yields `None` forever.
 #[derive(Debug)]
 pub struct WireReader<R: Read> {
-    inner: R,
+    pub(crate) inner: R,
     version: u32,
     routines: RoutineTable,
     strict: bool,
@@ -53,10 +64,12 @@ pub struct WireReader<R: Read> {
     pos: usize,
     offset: u64,
     next_ordinal: u32,
-    seen: Vec<ChunkEntry>,
+    /// Framing of every chunk read so far, decoded or not.
+    pub(crate) seen: Vec<ChunkEntry>,
     skipped: Vec<SkippedChunk>,
     index: Option<WireIndex>,
-    max_thread: u32,
+    /// Highest thread index + 1 over the decoded chunks.
+    pub(crate) max_thread: u32,
     stats: ReaderStats,
     done: bool,
 }
@@ -209,22 +222,28 @@ impl<R: Read> WireReader<R> {
     /// validated; the file is exhausted.
     fn load_next(&mut self) -> Result<bool, WireError> {
         loop {
-            let tag_offset = self.offset;
-            let mut tag = [0u8; 1];
-            self.read_exact_ctx(&mut tag, "record tag (file truncated before the chunk index)")?;
-            match tag[0] {
-                CHUNK_TAG => {
-                    if self.try_load_chunk(tag_offset)? {
-                        return Ok(true);
-                    }
-                    // Chunk skipped: keep scanning.
-                }
-                INDEX_TAG => {
-                    self.finish_at_index(tag_offset)?;
+            match self.read_record()? {
+                Record::Chunk(true) => return Ok(true),
+                Record::Chunk(false) => {} // skipped: keep scanning
+                Record::Index(offset) => {
+                    self.finish_at_index(offset)?;
                     return Ok(false);
                 }
-                found => return Err(WireError::BadRecordTag { offset: tag_offset, found }),
             }
+        }
+    }
+
+    /// Reads one record tag, then the chunk it starts, or stops at the
+    /// index tag. Input that ends at the tag fails with the
+    /// [`RECORD_TAG`] context.
+    pub(crate) fn read_record(&mut self) -> Result<Record, WireError> {
+        let tag_offset = self.offset;
+        let mut tag = [0u8; 1];
+        self.read_exact_ctx(&mut tag, RECORD_TAG)?;
+        match tag[0] {
+            CHUNK_TAG => Ok(Record::Chunk(self.try_load_chunk(tag_offset)?)),
+            INDEX_TAG => Ok(Record::Index(tag_offset)),
+            found => Err(WireError::BadRecordTag { offset: tag_offset, found }),
         }
     }
 
@@ -294,8 +313,13 @@ impl<R: Read> WireReader<R> {
     fn finish_at_index(&mut self, index_offset: u64) -> Result<(), WireError> {
         let corrupt = |reason: String| WireError::IndexCorrupt { reason };
         let count = self.read_u32("index entry count")?;
-        if count > MAX_INDEX_ENTRIES {
-            return Err(corrupt(format!("implausible index entry count {count}")));
+        // Checked before the count sizes anything, so a corrupt count
+        // cannot make the reader buffer or read what the stream never held.
+        if count as usize != self.seen.len() {
+            return Err(corrupt(format!(
+                "index describes {count} chunks, stream contained {}",
+                self.seen.len()
+            )));
         }
         // Re-serialize the body as read so the CRC covers exactly the
         // written bytes.
@@ -324,11 +348,7 @@ impl<R: Read> WireReader<R> {
             return Err(corrupt("index crc mismatch".into()));
         }
         if entries != self.seen {
-            return Err(corrupt(format!(
-                "index describes {} chunks, stream contained {} (or framing disagrees)",
-                entries.len(),
-                self.seen.len()
-            )));
+            return Err(corrupt("index entries disagree with the chunk framing".into()));
         }
         let framed_total: u64 = self.seen.iter().map(|e| u64::from(e.events)).sum();
         if total_events != framed_total {
@@ -395,149 +415,11 @@ impl<R: Read> Iterator for WireReader<R> {
     }
 }
 
-/// Reads the trailing chunk index of a seekable wire file without touching
-/// the chunks, enabling seek and parallel chunk decode.
-///
-/// The cursor position on return is unspecified.
-///
-/// # Errors
-///
-/// [`WireError::BadFooter`], [`WireError::IndexCorrupt`],
-/// [`WireError::UnexpectedEof`] or [`WireError::Io`].
-pub fn read_index<R: Read + Seek>(r: &mut R) -> Result<WireIndex, WireError> {
-    let len = r.seek(SeekFrom::End(0))?;
-    if len < 16 {
-        return Err(WireError::UnexpectedEof { context: "footer" });
-    }
-    r.seek(SeekFrom::Start(len - 16))?;
-    let mut footer = [0u8; 16];
-    r.read_exact(&mut footer)?;
-    let index_offset = u64::from_le_bytes(footer[..8].try_into().unwrap());
-    if &footer[8..] != FOOTER_MAGIC {
-        return Err(WireError::BadFooter { reason: "bad footer magic".into() });
-    }
-    if index_offset >= len - 16 {
-        return Err(WireError::BadFooter {
-            reason: format!("footer points at byte {index_offset}, past the index"),
-        });
-    }
-    r.seek(SeekFrom::Start(index_offset))?;
-    let corrupt = |reason: String| WireError::IndexCorrupt { reason };
-    let mut buf = vec![0u8; (len - 16 - index_offset) as usize];
-    r.read_exact(&mut buf)?;
-    if buf[0] != INDEX_TAG {
-        return Err(WireError::BadFooter {
-            reason: "footer does not point at an index record".into(),
-        });
-    }
-    let body = &buf[1..];
-    if body.len() < 20 {
-        return Err(corrupt("index record too short".into()));
-    }
-    let count = u32::from_le_bytes(body[..4].try_into().unwrap());
-    if count > MAX_INDEX_ENTRIES {
-        return Err(corrupt(format!("implausible index entry count {count}")));
-    }
-    let expected = 4 + count as usize * 20 + 12 + 4;
-    if body.len() != expected {
-        return Err(corrupt(format!(
-            "index record is {} bytes, {count} entries need {expected}",
-            body.len()
-        )));
-    }
-    let (payload, crc_bytes) = body.split_at(body.len() - 4);
-    let stored_crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(payload) != stored_crc {
-        return Err(corrupt("index crc mismatch".into()));
-    }
-    let mut entries = Vec::with_capacity(count as usize);
-    let mut pos = 4;
-    let field_u32 = |pos: &mut usize| {
-        let v = u32::from_le_bytes(payload[*pos..*pos + 4].try_into().unwrap());
-        *pos += 4;
-        v
-    };
-    for _ in 0..count {
-        let offset = u64::from_le_bytes(payload[pos..pos + 8].try_into().unwrap());
-        pos += 8;
-        entries.push(ChunkEntry {
-            offset,
-            payload_len: field_u32(&mut pos),
-            events: field_u32(&mut pos),
-            crc: field_u32(&mut pos),
-        });
-    }
-    let total_events = u64::from_le_bytes(payload[pos..pos + 8].try_into().unwrap());
-    pos += 8;
-    let thread_count = field_u32(&mut pos);
-    Ok(WireIndex { entries, total_events, thread_count })
-}
-
-/// Decodes the single chunk described by `entry` from a seekable wire
-/// file, appending its events to `out` (cleared first).
-///
-/// `ordinal` is the chunk's position in [`WireIndex::entries`], used only
-/// for error reporting. This is the unit of parallel decode: each worker
-/// opens its own handle and decodes a disjoint slice of the index.
-///
-/// # Errors
-///
-/// [`WireError::ChunkCorrupt`] when the payload fails its CRC or decodes
-/// inconsistently; [`WireError::IndexCorrupt`] when the framing on disk
-/// disagrees with `entry`.
-pub fn read_chunk<R: Read + Seek>(
-    r: &mut R,
-    ordinal: u32,
-    entry: &ChunkEntry,
-    out: &mut Vec<(ThreadId, Event)>,
-) -> Result<(), WireError> {
-    let mut scratch = Vec::new();
-    read_chunk_with(r, ordinal, entry, &mut scratch, out)
-}
-
-/// [`read_chunk`] with a caller-provided payload scratch buffer, so a loop
-/// decoding many chunks (or a parallel-decode worker) allocates the payload
-/// buffer once instead of per chunk.
-pub(crate) fn read_chunk_with<R: Read + Seek>(
-    r: &mut R,
-    ordinal: u32,
-    entry: &ChunkEntry,
-    scratch: &mut Vec<u8>,
-    out: &mut Vec<(ThreadId, Event)>,
-) -> Result<(), WireError> {
-    r.seek(SeekFrom::Start(entry.offset))?;
-    let mut framing = [0u8; 13];
-    r.read_exact(&mut framing)?;
-    let events = u32::from_le_bytes(framing[1..5].try_into().unwrap());
-    let payload_len = u32::from_le_bytes(framing[5..9].try_into().unwrap());
-    let crc = u32::from_le_bytes(framing[9..13].try_into().unwrap());
-    if framing[0] != CHUNK_TAG
-        || events != entry.events
-        || payload_len != entry.payload_len
-        || crc != entry.crc
-    {
-        return Err(WireError::IndexCorrupt {
-            reason: format!("chunk {ordinal} framing disagrees with the index entry"),
-        });
-    }
-    scratch.resize(payload_len as usize, 0);
-    r.read_exact(scratch)?;
-    let computed = crc32(scratch);
-    if computed != crc {
-        return Err(WireError::ChunkCorrupt {
-            index: ordinal,
-            reason: format!("payload crc mismatch (stored {crc:#010x}, computed {computed:#010x})"),
-        });
-    }
-    decode_chunk_into(ordinal, scratch, events, out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::writer::{WireOptions, WireWriter};
     use aprof_trace::Addr;
-    use std::io::Cursor;
 
     fn sample_bytes(chunk_bytes: usize) -> (Vec<u8>, Vec<(ThreadId, Event)>) {
         let events: Vec<(ThreadId, Event)> = (0..100)
@@ -583,24 +465,11 @@ mod tests {
     }
 
     #[test]
-    fn index_enables_seek_and_chunk_decode() {
-        let (bytes, events) = sample_bytes(64);
-        let mut cursor = Cursor::new(&bytes);
-        let index = read_index(&mut cursor).unwrap();
-        assert_eq!(index.total_events, events.len() as u64);
-        let mut decoded = Vec::new();
-        let mut chunk = Vec::new();
-        for (i, entry) in index.entries.iter().enumerate() {
-            read_chunk(&mut cursor, i as u32, entry, &mut chunk).unwrap();
-            decoded.extend_from_slice(&chunk);
-        }
-        assert_eq!(decoded, events);
-    }
-
-    #[test]
     fn corrupt_chunk_is_skipped_and_reported() {
         let (mut bytes, events) = sample_bytes(32);
-        let index = read_index(&mut Cursor::new(&bytes)).unwrap();
+        let mut pristine = WireReader::new(&bytes[..]).unwrap();
+        pristine.by_ref().for_each(drop);
+        let index = pristine.index().unwrap().clone();
         // Damage the middle of chunk 1's payload.
         let victim = &index.entries[1];
         let hit = (victim.offset + 13 + u64::from(victim.payload_len) / 2) as usize;

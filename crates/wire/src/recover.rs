@@ -4,21 +4,18 @@
 //! valid header, a run of intact chunks, and then either nothing (no index,
 //! no footer) or a torn chunk. Because chunk payloads are self-contained
 //! (delta state resets per chunk) and individually CRC-guarded, the longest
-//! decodable prefix is well defined: [`recover`] re-scans the file ignoring
-//! any index, keeps exactly the leading run of CRC-valid, structurally
-//! decodable chunks, and writes a fresh capture with a rebuilt index and
-//! footer. The result is a fully valid wire file that strict readers accept.
+//! decodable prefix is well defined: [`recover`] runs a strict
+//! [`WireReader`] record by record, keeps exactly the leading run of chunks
+//! it accepts, stops at the index tag without reading the index, and writes
+//! a fresh capture with a rebuilt index and footer. The result is a fully
+//! valid wire file that strict readers accept.
 //!
 //! Combined with [`FlushPolicy::Durable`](crate::FlushPolicy::Durable), this
 //! bounds data loss to the one chunk that was open when the process died.
 
-use crate::crc32::crc32;
 use crate::error::WireError;
-use crate::format::{
-    decode_chunk_into, ChunkEntry, WireIndex, CHUNK_TAG, FOOTER_MAGIC, INDEX_TAG, MAGIC,
-    MAX_CHUNK_BYTES, MAX_HEADER_BYTES, VERSION,
-};
-use crate::varint;
+use crate::format::{WireIndex, FOOTER_MAGIC};
+use crate::reader::{Record, WireReader, RECORD_TAG};
 use std::io::{Read, Write};
 
 /// Why [`recover`]'s forward scan stopped accepting chunks.
@@ -95,45 +92,62 @@ impl RecoverSummary {
     }
 }
 
-/// Reads `buf.len()` bytes, distinguishing "clean EOF before the first
-/// byte" (`Ok(false)`) from truncation mid-structure (`Err(Truncated)`).
-fn read_exact_or_eof<R: Read>(
-    input: &mut R,
-    buf: &mut [u8],
-    context: &'static str,
-) -> Result<bool, ScanStop> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match input.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => return Err(ScanStop::Stop(StopReason::Truncated { context })),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ScanStop::Fatal(WireError::Io(e))),
-        }
-    }
-    Ok(true)
+/// A source that keeps every byte it hands out, so [`recover`] copies the
+/// header and each chunk exactly as the reader consumed them. Re-encoding
+/// could change their bytes: varints need not be minimal.
+struct Recording<R> {
+    inner: R,
+    taken: Vec<u8>,
 }
 
-/// Internal control flow of the chunk scan: stop salvaging (keep what we
-/// have) vs. a real I/O failure that aborts recovery.
-enum ScanStop {
-    Stop(StopReason),
-    Fatal(WireError),
+impl<R: Read> Read for Recording<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.taken.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+}
+
+impl<R> Recording<R> {
+    /// Writes out the bytes taken since the last call and returns how many.
+    fn copy_to<W: Write>(&mut self, output: &mut W) -> std::io::Result<u64> {
+        output.write_all(&self.taken)?;
+        let n = self.taken.len() as u64;
+        self.taken.clear();
+        Ok(n)
+    }
+}
+
+/// Where salvage stops for an error of the strict reader; an I/O error
+/// stays an error.
+fn stop_reason(e: WireError) -> Result<StopReason, WireError> {
+    Ok(match e {
+        WireError::UnexpectedEof { context: RECORD_TAG } => StopReason::CleanEof,
+        WireError::UnexpectedEof { context } => StopReason::Truncated { context },
+        WireError::ChunkCorrupt { index, reason } => StopReason::BadChunk { index, reason },
+        WireError::ChunkTooLarge { index, len, .. } => StopReason::BadChunk {
+            index,
+            reason: format!("declared payload of {len} bytes exceeds the maximum"),
+        },
+        WireError::BadRecordTag { offset, found } => StopReason::BadTag { offset, found },
+        other => return Err(other),
+    })
 }
 
 /// Salvages the longest valid prefix of a damaged wire capture.
 ///
 /// Validates the header (a capture with a corrupt header is unrecoverable —
-/// the routine table is gone), then scans forward chunk by chunk, verifying
-/// each chunk's framing, CRC-32 and payload decode, ignoring any index the
-/// input may carry. The header and every intact chunk are copied to
-/// `output` byte-for-byte, followed by a freshly built index and footer, so
-/// the output is a complete, strict-reader-valid wire file.
+/// the routine table is gone), then reads forward chunk by chunk with a
+/// strict [`WireReader`], which verifies each chunk's framing, CRC-32 and
+/// payload decode, and ignores any index the input may carry. The header
+/// and every intact chunk are copied to `output` byte-for-byte, followed by
+/// a freshly built index and footer, so the output is a complete,
+/// strict-reader-valid wire file.
 ///
-/// Reading a salvaged file replays exactly the events of the intact chunk
-/// prefix — the same events a lossless reader would have produced from the
-/// undamaged capture, truncated at a chunk boundary.
+/// Reading a salvaged file replays exactly the events a strict reader
+/// yields from the damaged input before its first error — the same events
+/// a lossless reader would have produced from the undamaged capture,
+/// truncated at a chunk boundary.
 ///
 /// # Errors
 ///
@@ -143,110 +157,29 @@ enum ScanStop {
 /// on either side. Damage *after* the header is not an error — it
 /// determines where salvage stops, reported in
 /// [`RecoverSummary::stopped`].
-pub fn recover<R: Read, W: Write>(
-    mut input: R,
-    mut output: W,
-) -> Result<RecoverSummary, WireError> {
-    // --- Header: validate fully, then copy verbatim. ---
-    let mut fixed = [0u8; 16];
-    read_header_bytes(&mut input, &mut fixed[..8], "file magic")?;
-    if &fixed[..8] != MAGIC {
-        let mut found = [0u8; 8];
-        found.copy_from_slice(&fixed[..8]);
-        return Err(WireError::BadMagic { found });
-    }
-    read_header_bytes(&mut input, &mut fixed[8..12], "header version")?;
-    let version = u32::from_le_bytes(fixed[8..12].try_into().unwrap());
-    if version != VERSION {
-        return Err(WireError::UnsupportedVersion { found: version, supported: VERSION });
-    }
-    read_header_bytes(&mut input, &mut fixed[12..16], "header length")?;
-    let payload_len = u32::from_le_bytes(fixed[12..16].try_into().unwrap());
-    let corrupt = |reason: &str| WireError::HeaderCorrupt { reason: reason.to_owned() };
-    if u64::from(payload_len) > MAX_HEADER_BYTES {
-        return Err(corrupt("declared header length exceeds the format maximum"));
-    }
-    let mut payload = vec![0u8; payload_len as usize];
-    read_header_bytes(&mut input, &mut payload, "header payload")?;
-    let mut crc_bytes = [0u8; 4];
-    read_header_bytes(&mut input, &mut crc_bytes, "header crc")?;
-    if crc32(&payload) != u32::from_le_bytes(crc_bytes) {
-        return Err(corrupt("header crc mismatch"));
-    }
-    validate_routine_table(&payload)?;
-
-    output.write_all(&fixed)?;
-    output.write_all(&payload)?;
-    output.write_all(&crc_bytes)?;
-    let header_len = 16 + payload.len() as u64 + 4;
-
-    // --- Chunks: keep the leading run that validates end to end. ---
-    let mut offset = header_len; // input offset of the next record tag
-    let mut entries: Vec<ChunkEntry> = Vec::new();
-    let mut total_events: u64 = 0;
-    let mut threads: u32 = 0;
-    let mut decoded = Vec::new();
+pub fn recover<R: Read, W: Write>(input: R, mut output: W) -> Result<RecoverSummary, WireError> {
+    let mut reader = WireReader::new(Recording { inner: input, taken: Vec::new() })?.strict();
+    // Input offset of the next record tag; also the output written so far.
+    let mut kept = reader.inner.copy_to(&mut output)?;
     let stopped = loop {
-        let mut tag = [0u8; 1];
-        match read_exact_or_eof(&mut input, &mut tag, "record tag") {
-            Ok(false) => break StopReason::CleanEof,
-            Ok(true) => {}
-            Err(ScanStop::Stop(r)) => break r,
-            Err(ScanStop::Fatal(e)) => return Err(e),
+        match reader.read_record() {
+            Ok(Record::Chunk(_)) => kept += reader.inner.copy_to(&mut output)?,
+            Ok(Record::Index(_)) => break StopReason::IndexReached,
+            Err(e) => break stop_reason(e)?,
         }
-        match tag[0] {
-            INDEX_TAG => break StopReason::IndexReached,
-            CHUNK_TAG => {}
-            found => break StopReason::BadTag { offset, found },
-        }
-        let index = entries.len() as u32;
-        let mut framing = [0u8; 12];
-        match read_exact_or_eof(&mut input, &mut framing, "chunk framing") {
-            Ok(true) => {}
-            Ok(false) => break StopReason::Truncated { context: "chunk framing" },
-            Err(ScanStop::Stop(r)) => break r,
-            Err(ScanStop::Fatal(e)) => return Err(e),
-        }
-        let events = u32::from_le_bytes(framing[0..4].try_into().unwrap());
-        let payload_len = u32::from_le_bytes(framing[4..8].try_into().unwrap());
-        let stored_crc = u32::from_le_bytes(framing[8..12].try_into().unwrap());
-        if u64::from(payload_len) > MAX_CHUNK_BYTES {
-            break StopReason::BadChunk {
-                index,
-                reason: format!("declared payload of {payload_len} bytes exceeds the maximum"),
-            };
-        }
-        let mut chunk = vec![0u8; payload_len as usize];
-        match read_exact_or_eof(&mut input, &mut chunk, "chunk payload") {
-            Ok(true) => {}
-            Ok(false) => break StopReason::Truncated { context: "chunk payload" },
-            Err(ScanStop::Stop(r)) => break r,
-            Err(ScanStop::Fatal(e)) => return Err(e),
-        }
-        if crc32(&chunk) != stored_crc {
-            break StopReason::BadChunk { index, reason: "payload crc mismatch".to_owned() };
-        }
-        if let Err(e) = decode_chunk_into(index, &chunk, events, &mut decoded) {
-            break StopReason::BadChunk { index, reason: e.to_string() };
-        }
-        for (thread, _) in &decoded {
-            threads = threads.max(thread.index() as u32 + 1);
-        }
-        // The chunk is good: copy it through and index it.
-        output.write_all(&tag)?;
-        output.write_all(&framing)?;
-        output.write_all(&chunk)?;
-        entries.push(ChunkEntry { offset, payload_len, events, crc: stored_crc });
-        offset += 13 + u64::from(payload_len);
-        total_events += u64::from(events);
     };
 
-    // --- Fresh index + footer over exactly what was kept. ---
-    let chunks = entries.len() as u32;
+    // A fresh index and footer over exactly what was kept. A chunk the
+    // reader rejected is already in `seen`: keep only the decoded ones.
+    let chunks = reader.stats().chunks;
+    let mut entries = std::mem::take(&mut reader.seen);
+    entries.truncate(chunks as usize);
+    let total_events = entries.iter().map(|e| u64::from(e.events)).sum();
+    let threads = reader.max_thread;
     let index = WireIndex { entries, total_events, thread_count: threads };
     let mut tail = Vec::new();
     index.encode(&mut tail);
-    tail.extend_from_slice(&offset.to_le_bytes());
+    tail.extend_from_slice(&kept.to_le_bytes());
     tail.extend_from_slice(FOOTER_MAGIC);
     output.write_all(&tail)?;
     output.flush()?;
@@ -258,54 +191,10 @@ pub fn recover<R: Read, W: Write>(
         chunks,
         events: total_events,
         threads,
-        salvaged_bytes: offset,
-        output_bytes: offset + tail.len() as u64,
+        salvaged_bytes: kept,
+        output_bytes: kept + tail.len() as u64,
         stopped,
     })
-}
-
-/// `read_exact` for the header region, where truncation is fatal (typed as
-/// [`WireError::UnexpectedEof`]) rather than a salvage boundary.
-fn read_header_bytes<R: Read>(
-    input: &mut R,
-    buf: &mut [u8],
-    context: &'static str,
-) -> Result<(), WireError> {
-    input.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            WireError::UnexpectedEof { context }
-        } else {
-            WireError::Io(e)
-        }
-    })
-}
-
-/// Structural validation of the header's routine-table payload, mirroring
-/// the reader: a CRC-valid but malformed table must not be copied into a
-/// "recovered" file that readers then reject.
-fn validate_routine_table(payload: &[u8]) -> Result<(), WireError> {
-    let corrupt = |reason: &str| WireError::HeaderCorrupt { reason: reason.to_owned() };
-    let mut pos = 0;
-    let count =
-        varint::read_u64(payload, &mut pos).ok_or_else(|| corrupt("bad routine count"))?;
-    if count > u64::from(u32::MAX) {
-        return Err(corrupt("routine count exceeds u32"));
-    }
-    for _ in 0..count {
-        let len = varint::read_u64(payload, &mut pos)
-            .ok_or_else(|| corrupt("bad routine name length"))?;
-        let len = usize::try_from(len)
-            .ok()
-            .filter(|l| pos + l <= payload.len())
-            .ok_or_else(|| corrupt("routine name past header end"))?;
-        std::str::from_utf8(&payload[pos..pos + len])
-            .map_err(|_| corrupt("routine name is not utf-8"))?;
-        pos += len;
-    }
-    if pos != payload.len() {
-        return Err(corrupt("trailing bytes after the routine table"));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -414,6 +303,25 @@ mod tests {
                 "cut at {cut} gave {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn duplicate_routine_name_is_rejected_as_the_reader_rejects_it() {
+        // A CRC-valid header whose routine table names "f" twice.
+        let payload = [2u8, 1, b'f', 1, b'f'];
+        let mut bytes = crate::format::MAGIC.to_vec();
+        bytes.extend_from_slice(&crate::VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&crate::crc32::crc32(&payload).to_le_bytes());
+        let mut out = Vec::new();
+        match recover(&bytes[..], &mut out) {
+            Err(WireError::HeaderCorrupt { reason }) => {
+                assert_eq!(reason, "duplicate routine name");
+            }
+            other => panic!("expected HeaderCorrupt, got {other:?}"),
+        }
+        assert!(out.is_empty(), "nothing may be salvaged from a corrupt header");
     }
 
     #[test]

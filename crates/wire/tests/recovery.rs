@@ -120,8 +120,10 @@ proptest! {
         prop_assert_eq!(&again, &out);
     }
 
-    /// Flipping one payload byte past the header never panics recovery and
-    /// never yields events outside the pristine prefix contract.
+    /// Flipping one payload byte past the header never panics recovery,
+    /// never yields events outside the pristine prefix contract, and keeps
+    /// the longest prefix: everything a strict reader yields before its
+    /// first error.
     #[test]
     fn single_corruption_keeps_salvage_a_valid_prefix(
         n in 8u64..40,
@@ -144,6 +146,9 @@ proptest! {
         let salvaged = replay(&out);
         prop_assert_eq!(salvaged.len() as u64, summary.events);
         prop_assert_eq!(&salvaged[..], &events[..salvaged.len()]);
+        let strict: Vec<_> =
+            WireReader::new(&bytes[..]).unwrap().strict().map_while(Result::ok).collect();
+        prop_assert_eq!(&salvaged, &strict);
     }
 }
 

@@ -4,7 +4,7 @@
 //! a typed [`WireError`] or an explicitly reported skipped chunk.
 
 use aprof_trace::{Addr, Event, RoutineTable, ThreadId};
-use aprof_wire::{SkippedChunk, WireError, WireOptions, WireReader, WireWriter};
+use aprof_wire::{SkippedChunk, WireError, WireIndex, WireOptions, WireReader, WireWriter};
 
 /// A small multi-chunk file (~a few hundred bytes, so exhaustive bit-flip
 /// and truncation sweeps stay fast).
@@ -24,6 +24,15 @@ fn sample_file() -> Vec<u8> {
     let (bytes, summary) = w.finish().unwrap();
     assert!(summary.chunks >= 3, "want a multi-chunk sample, got {}", summary.chunks);
     bytes
+}
+
+/// The validated index of an intact file, as the reader reads it.
+fn index_of(bytes: &[u8]) -> WireIndex {
+    let mut reader = WireReader::new(bytes).unwrap();
+    reader.by_ref().for_each(|item| {
+        item.unwrap();
+    });
+    reader.index().unwrap().clone()
 }
 
 /// Decodes `bytes` leniently, returning the events, the skip reports, and
@@ -102,8 +111,7 @@ fn strict_mode_rejects_what_lenient_mode_skips() {
     // Flip a byte in the middle of the first chunk's payload (the header
     // is small: magic 8 + version 4 + len 4 + payload + crc 4; first
     // chunk framing follows). Locate it via the index.
-    let index =
-        aprof_wire::read_index(&mut std::io::Cursor::new(&pristine)).unwrap();
+    let index = index_of(&pristine);
     let entry = &index.entries[0];
     let mut mutated = pristine.clone();
     mutated[(entry.offset + 13) as usize + entry.payload_len as usize / 2] ^= 0x40;
@@ -124,8 +132,7 @@ fn strict_mode_rejects_what_lenient_mode_skips() {
 #[test]
 fn spliced_chunks_are_caught_by_the_index() {
     let pristine = sample_file();
-    let index =
-        aprof_wire::read_index(&mut std::io::Cursor::new(&pristine)).unwrap();
+    let index = index_of(&pristine);
     let (e0, e1) = (&index.entries[0], &index.entries[1]);
     let start = e0.offset as usize;
     let mid = e1.offset as usize;
