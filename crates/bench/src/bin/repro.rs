@@ -66,45 +66,9 @@ fn main() {
             "--faults" => faults = true,
             "--corpus" => corpus = true,
             "--chaos" => chaos = true,
-            "--chaos-seed" => {
-                let Some(n) = it.next().and_then(|v| {
-                    let v = v.trim();
-                    match v.strip_prefix("0x") {
-                        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                        None => v.parse::<u64>().ok(),
-                    }
-                }) else {
-                    eprintln!("--chaos-seed needs an integer (decimal or 0x-hex)");
-                    std::process::exit(2);
-                };
-                chaos_seed = n;
-            }
-            "--corpus-seed" => {
-                let Some(n) = it.next().and_then(|v| {
-                    let v = v.trim();
-                    match v.strip_prefix("0x") {
-                        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                        None => v.parse::<u64>().ok(),
-                    }
-                }) else {
-                    eprintln!("--corpus-seed needs an integer (decimal or 0x-hex)");
-                    std::process::exit(2);
-                };
-                corpus_seed = n;
-            }
-            "--fault-seed" => {
-                let Some(n) = it.next().and_then(|v| {
-                    let v = v.trim();
-                    match v.strip_prefix("0x") {
-                        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                        None => v.parse::<u64>().ok(),
-                    }
-                }) else {
-                    eprintln!("--fault-seed needs an integer (decimal or 0x-hex)");
-                    std::process::exit(2);
-                };
-                fault_seed = n;
-            }
+            "--chaos-seed" => chaos_seed = parse_seed("--chaos-seed", it.next()),
+            "--corpus-seed" => corpus_seed = parse_seed("--corpus-seed", it.next()),
+            "--fault-seed" => fault_seed = parse_seed("--fault-seed", it.next()),
             "--bench-json" | "--bench-parallel-driver-json" => bench_json = true,
             "--bench-wire-json" => bench_wire_json = true,
             "--bench-gate" => bench_gate = true,
@@ -181,63 +145,24 @@ fn main() {
         std::process::exit(1);
     }
     if bench_wire_json {
-        let report = aprof_bench::wire_report();
-        let path = Path::new("BENCH_wire.json");
-        match std::fs::write(path, report.render()) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        write_report("BENCH_wire.json", &aprof_bench::wire_report().render());
         return;
     }
     if bench_check_json {
-        let report = aprof_bench::check_report();
-        let path = Path::new("BENCH_check.json");
-        match std::fs::write(path, report.render()) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        write_report("BENCH_check.json", &aprof_bench::check_report().render());
         return;
     }
     if bench_bound_json {
-        let report = aprof_bench::bound_report();
-        let path = Path::new("BENCH_bound.json");
-        match std::fs::write(path, report.render()) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        write_report("BENCH_bound.json", &aprof_bench::bound_report().render());
         return;
     }
     if bench_obs_json {
-        let report = aprof_bench::obs_report();
-        let path = Path::new("BENCH_obs.json");
-        match std::fs::write(path, report.render()) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        write_report("BENCH_obs.json", &aprof_bench::obs_report().render());
         return;
     }
     if bench_json {
         let report = aprof_bench::parallel_driver_report(driver::jobs());
-        let path = Path::new("BENCH_parallel_driver.json");
-        match std::fs::write(path, report.render()) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        write_report("BENCH_parallel_driver.json", &report.render());
         return;
     }
     if selected.is_empty() || selected.contains(&"all") {
@@ -270,5 +195,30 @@ fn main() {
     }
     if failed {
         std::process::exit(1);
+    }
+}
+
+/// Parses `flag`'s value as a decimal or `0x`-hex seed; a missing or
+/// malformed value exits with status 2.
+fn parse_seed(flag: &str, value: Option<&String>) -> u64 {
+    let parsed = value.map(|v| v.trim()).and_then(|v| match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => v.parse().ok(),
+    });
+    parsed.unwrap_or_else(|| {
+        eprintln!("{flag} needs an integer (decimal or 0x-hex)");
+        std::process::exit(2);
+    })
+}
+
+/// Writes a rendered report to `file` in the working directory; a failed
+/// write exits with status 1.
+fn write_report(file: &str, json: &str) {
+    match std::fs::write(file, json) {
+        Ok(()) => println!("wrote {file}"),
+        Err(e) => {
+            eprintln!("cannot write {file}: {e}");
+            std::process::exit(1);
+        }
     }
 }

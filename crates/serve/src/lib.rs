@@ -132,9 +132,6 @@ pub struct ServeConfig {
     /// ack. A peer dribbling bytes slower than this (slow-loris) is
     /// evicted with `ERR` and counted in `serve.shed.slow_evictions`.
     pub stream_deadline: Duration,
-    /// Per-write socket timeout on server connections, so a peer that
-    /// stops draining its response cannot pin a worker.
-    pub write_timeout: Duration,
     /// Deterministic load-shedding thresholds.
     pub shed: ShedConfig,
     /// Per-tenant circuit-breaker policy.
@@ -189,7 +186,6 @@ impl ServeConfig {
             quota: ResourceLimits { trap: true, ..ResourceLimits::default() },
             faults: None,
             stream_deadline: Duration::from_secs(120),
-            write_timeout: Duration::from_secs(30),
             shed: ShedConfig::default(),
             breaker: BreakerConfig::default(),
         }

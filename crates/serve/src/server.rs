@@ -32,6 +32,10 @@ const STOPPING: u8 = 2;
 /// drain) longer than this.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Per-write socket timeout: a peer that stops draining its response
+/// cannot pin a worker.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Read-buffer capacity between the socket and the wire decoder.
 const SOCKET_BUF: usize = 64 << 10;
 
@@ -365,7 +369,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &Listener, backoff: &mut Backoff)
 fn handle_conn(shared: &Shared, mut conn: Conn, ordinal: u64) {
     counters::SERVE_CONNS_ACCEPTED.incr();
     let _ = conn.set_read_timeout(READ_TIMEOUT);
-    let _ = conn.set_write_timeout(shared.cfg.write_timeout);
+    let _ = conn.set_write_timeout(WRITE_TIMEOUT);
     let request = match protocol::read_line(&mut conn).and_then(|l| protocol::parse_request(&l)) {
         Ok(req) => req,
         Err(e) => {

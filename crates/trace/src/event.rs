@@ -1,6 +1,6 @@
 //! Trace events: the operations a dynamic-analysis tool observes.
 
-use crate::{Addr, RoutineId, ThreadId, Timestamp};
+use crate::{Addr, RoutineId, ThreadId};
 
 /// One operation of the execution trace (§4 of the paper).
 ///
@@ -142,12 +142,13 @@ impl EventKind {
     ];
 }
 
-/// An [`Event`] paired with the thread that issued it and a logical
-/// timestamp, as stored in a merged [`Trace`](crate::Trace).
+/// An [`Event`] paired with the thread that issued it, as stored in a
+/// [`Trace`](crate::Trace).
+///
+/// The record carries no timestamp: an event's position in the totally
+/// ordered trace is its time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimedEvent {
-    /// Logical timestamp; respects per-thread program order.
-    pub time: Timestamp,
     /// The issuing thread.
     pub thread: ThreadId,
     /// The operation.
@@ -180,9 +181,6 @@ mod tests {
     #[test]
     fn kind_matches_event() {
         assert_eq!(Event::ThreadSwitch.kind(), EventKind::ThreadSwitch);
-        assert_eq!(
-            Event::Return { routine: RoutineId::new(3) }.kind(),
-            EventKind::Return
-        );
+        assert_eq!(Event::Return { routine: RoutineId::new(3) }.kind(), EventKind::Return);
     }
 }

@@ -140,38 +140,6 @@ impl From<u64> for Addr {
     }
 }
 
-/// A logical timestamp attached to trace events.
-///
-/// Timestamps are only required to respect the per-thread program order;
-/// events of different threads with equal timestamps are ordered arbitrarily
-/// when traces are [merged](crate::Trace::merge), as in §4 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Timestamp(u64);
-
-impl Timestamp {
-    /// Creates a timestamp from its raw tick count.
-    pub const fn new(ticks: u64) -> Self {
-        Timestamp(ticks)
-    }
-
-    /// Returns the raw tick count.
-    pub const fn ticks(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Timestamp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "@{}", self.0)
-    }
-}
-
-impl From<u64> for Timestamp {
-    fn from(v: u64) -> Self {
-        Timestamp(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,12 +168,5 @@ mod tests {
     fn routine_id_display() {
         assert_eq!(RoutineId::new(2).to_string(), "r2");
         assert_eq!(RoutineId::from(2u32).index(), 2);
-    }
-
-    #[test]
-    fn timestamp_ordering() {
-        assert!(Timestamp::new(1) < Timestamp::new(2));
-        assert_eq!(Timestamp::new(4).to_string(), "@4");
-        assert_eq!(Timestamp::from(9u64).ticks(), 9);
     }
 }

@@ -12,11 +12,11 @@
 //!   guest machine in `aprof-vm` drives a `Tool` while it executes a program;
 //!   the profilers in `aprof-core` and the comparator analyses in
 //!   `aprof-tools` all implement it.
-//! * [`Trace`] and [`ThreadTrace`] — recorded event streams. Thread-specific
-//!   traces can be [merged](Trace::merge) into a single totally-ordered trace
-//!   (ties broken arbitrarily but deterministically), with `switchThread`
-//!   events inserted between operations of different threads, and then
-//!   [replayed](Trace::replay) into any `Tool`.
+//! * [`Trace`] — a recorded event stream: one totally ordered trace of all
+//!   threads, in which `switchThread` events separate operations of
+//!   different threads, exactly as the serialized guest machine issues it.
+//!   An event's position in the trace is its time; no event carries a
+//!   timestamp. A trace is [replayed](Trace::replay) into any `Tool`.
 //! * [`replay`] — the replay of an event stream that is not in memory (a
 //!   wire trace being decoded, or any other fallible source), in batches
 //!   through [`Tool::on_batch`]. [`Trace::replay_batched`] runs it over
@@ -54,7 +54,7 @@ mod tool;
 mod trace;
 
 pub use event::{Event, EventKind, TimedEvent};
-pub use ids::{Addr, RoutineId, ThreadId, Timestamp};
+pub use ids::{Addr, RoutineId, ThreadId};
 pub use table::RoutineTable;
 pub use tool::{NullTool, RecordingTool, Tool};
-pub use trace::{replay, ThreadTrace, Trace, TraceStats};
+pub use trace::{replay, Trace, TraceStats};

@@ -74,10 +74,7 @@ impl RoutineTable {
 
     /// Iterates over `(id, name)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (RoutineId, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (RoutineId::new(i as u32), n.as_str()))
+        self.names.iter().enumerate().map(|(i, n)| (RoutineId::new(i as u32), n.as_str()))
     }
 }
 

@@ -182,10 +182,7 @@ pub fn parse_line(ln: usize, raw: &str) -> Result<Option<(ThreadId, Event)>, Par
         return err(ln, "trailing tokens");
     }
     let need = |what: &str| -> Result<&str, ParseTraceError> {
-        operand.ok_or(ParseTraceError {
-            line: ln,
-            message: format!("`{op}` needs {what}"),
-        })
+        operand.ok_or(ParseTraceError { line: ln, message: format!("`{op}` needs {what}") })
     };
     let event = match op {
         "call" => Event::Call { routine: parse_routine(ln, need("a routine")?)? },
@@ -195,28 +192,25 @@ pub fn parse_line(ln: usize, raw: &str) -> Result<Option<(ThreadId, Event)>, Par
         "kread" => Event::KernelRead { addr: parse_addr(ln, need("an address")?)? },
         "kwrite" => Event::KernelWrite { addr: parse_addr(ln, need("an address")?)? },
         "bb" => Event::BasicBlock {
-            cost: need("a cost")?.parse().map_err(|_| ParseTraceError {
-                line: ln,
-                message: "bad cost".into(),
-            })?,
+            cost: need("a cost")?
+                .parse()
+                .map_err(|_| ParseTraceError { line: ln, message: "bad cost".into() })?,
         },
         "switch" => Event::ThreadSwitch,
         "start" => Event::ThreadStart,
         "exit" => Event::ThreadExit,
         other => return err(ln, format!("unknown event `{other}`")),
     };
-    if matches!(event, Event::ThreadSwitch | Event::ThreadStart | Event::ThreadExit)
-        && operand.is_some()
-    {
+    if matches!(event, Event::ThreadSwitch | Event::ThreadStart | Event::ThreadExit) && operand.is_some() {
         return err(ln, format!("`{op}` takes no operand"));
     }
     Ok(Some((thread, event)))
 }
 
 /// Parses the text format from a buffered reader, line by line, into a
-/// [`Trace`] (fresh consecutive timestamps are assigned, preserving
-/// order). Only one line is held in memory at a time, so arbitrarily large
-/// inputs stream through without being materialized as a single string.
+/// [`Trace`], preserving order. Only one line is held in memory at a time,
+/// so arbitrarily large inputs stream through without being materialized as
+/// a single string.
 ///
 /// # Errors
 ///
@@ -325,5 +319,4 @@ mod tests {
         let e = from_reader(io::BufReader::new(Broken)).unwrap_err();
         assert!(matches!(e, ReadTraceError::Io(_)));
     }
-
 }

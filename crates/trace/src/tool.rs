@@ -1,6 +1,6 @@
 //! The instrumentation callback interface implemented by analysis tools.
 
-use crate::{Addr, Event, RoutineId, ThreadId, TimedEvent, Timestamp};
+use crate::{Addr, Event, RoutineId, ThreadId, TimedEvent};
 
 /// A Valgrind-style dynamic-analysis tool.
 ///
@@ -205,7 +205,7 @@ impl Tool for NullTool {
 }
 
 /// A tool that records every event it receives into a [`Trace`](crate::Trace)-like
-/// buffer of [`TimedEvent`]s, assigning consecutive timestamps.
+/// buffer of [`TimedEvent`]s, in arrival order.
 ///
 /// Useful for capturing the event stream of a guest-machine run so it can be
 /// replayed into several tools, and in tests.
@@ -222,7 +222,6 @@ impl Tool for NullTool {
 #[derive(Debug, Clone, Default)]
 pub struct RecordingTool {
     events: Vec<TimedEvent>,
-    clock: u64,
 }
 
 impl RecordingTool {
@@ -242,12 +241,7 @@ impl RecordingTool {
     }
 
     fn record(&mut self, thread: ThreadId, event: Event) {
-        self.clock += 1;
-        self.events.push(TimedEvent {
-            time: Timestamp::new(self.clock),
-            thread,
-            event,
-        });
+        self.events.push(TimedEvent { thread, event });
     }
 }
 
@@ -319,7 +313,6 @@ mod tests {
         assert_eq!(tr.len(), 2);
         assert_eq!(tr[0].thread, ThreadId::MAIN);
         assert_eq!(tr[1].thread, t1);
-        assert!(tr[0].time < tr[1].time);
         assert_eq!(tr[1].event, Event::Write { addr: Addr::new(9) });
     }
 

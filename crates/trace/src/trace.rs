@@ -1,92 +1,18 @@
-//! Recorded event streams and trace merging.
+//! Recorded event streams and their replay.
 
-use crate::{Event, EventKind, ThreadId, TimedEvent, Timestamp, Tool};
+use crate::{Event, EventKind, ThreadId, TimedEvent, Tool};
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 
-/// The trace of operations generated by a single thread, with timestamps.
-///
-/// Per §4 of the paper, "each trace is generated by a different thread and
-/// includes routine activations, routine completions, read/write memory
-/// accesses, and read/write operations performed through kernel system
-/// calls", each associated with timing information.
-///
-/// # Example
-///
-/// ```
-/// use aprof_trace::{Addr, Event, ThreadId, ThreadTrace, Timestamp};
-/// let mut t = ThreadTrace::new(ThreadId::MAIN);
-/// t.push_at(Timestamp::new(3), Event::Read { addr: Addr::new(1) });
-/// assert_eq!(t.len(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ThreadTrace {
-    thread: ThreadId,
-    events: Vec<(Timestamp, Event)>,
-    clock: u64,
-}
-
-impl ThreadTrace {
-    /// Creates an empty trace for `thread`.
-    pub fn new(thread: ThreadId) -> Self {
-        ThreadTrace { thread, events: Vec::new(), clock: 0 }
-    }
-
-    /// The owning thread.
-    pub fn thread(&self) -> ThreadId {
-        self.thread
-    }
-
-    /// Appends `event` with the next consecutive timestamp.
-    pub fn push(&mut self, event: Event) {
-        self.clock += 1;
-        self.events.push((Timestamp::new(self.clock), event));
-    }
-
-    /// Appends `event` at an explicit timestamp.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not monotonically non-decreasing within this
-    /// thread trace (per-thread program order must be respected).
-    pub fn push_at(&mut self, time: Timestamp, event: Event) {
-        assert!(
-            time.ticks() >= self.clock,
-            "timestamps must be non-decreasing within a thread trace ({} < {})",
-            time.ticks(),
-            self.clock,
-        );
-        self.clock = time.ticks();
-        self.events.push((time, event));
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Iterates over `(timestamp, event)` pairs in program order.
-    pub fn iter(&self) -> impl Iterator<Item = &(Timestamp, Event)> {
-        self.events.iter()
-    }
-}
-
 /// A totally-ordered execution trace covering all threads.
 ///
-/// Produced either directly (by pushing events in global order, as the
-/// serialized guest machine does) or by [merging](Trace::merge)
-/// thread-specific [`ThreadTrace`]s. After merging, events are totally
-/// ordered and `switchThread` events separate operations of different
-/// threads, as assumed by the profiling algorithms of §4.
+/// Events are pushed in global order, as the serialized guest machine
+/// issues them: `switchThread` events separate operations of different
+/// threads, as assumed by the profiling algorithms of §4, and an event's
+/// index is its place in that order.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TimedEvent>,
-    clock: u64,
 }
 
 impl Trace {
@@ -95,72 +21,9 @@ impl Trace {
         Self::default()
     }
 
-    /// Appends an event issued by `thread` with the next global timestamp.
+    /// Appends an event issued by `thread` at the end of the trace.
     pub fn push(&mut self, thread: ThreadId, event: Event) {
-        self.clock += 1;
-        self.events.push(TimedEvent { time: Timestamp::new(self.clock), thread, event });
-    }
-
-    /// Merges thread-specific traces into one totally-ordered trace.
-    ///
-    /// Events are interleaved by timestamp. If two or more operations issued
-    /// by different threads carry the same timestamp, ties are broken
-    /// deterministically by thread id, but callers must not rely on any
-    /// particular tie-breaking policy (the paper's algorithms are correct for
-    /// arbitrary tie-breaking). [`Event::ThreadSwitch`] events are inserted
-    /// between any two operations performed by different threads.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use aprof_trace::{Addr, Event, EventKind, ThreadId, ThreadTrace, Trace, Timestamp};
-    /// let mut a = ThreadTrace::new(ThreadId::new(0));
-    /// a.push_at(Timestamp::new(1), Event::Write { addr: Addr::new(7) });
-    /// let mut b = ThreadTrace::new(ThreadId::new(1));
-    /// b.push_at(Timestamp::new(2), Event::Read { addr: Addr::new(7) });
-    /// let merged = Trace::merge(vec![a, b]);
-    /// // write, switch, read
-    /// assert_eq!(merged.len(), 3);
-    /// assert_eq!(merged.events()[1].event.kind(), EventKind::ThreadSwitch);
-    /// ```
-    pub fn merge(threads: Vec<ThreadTrace>) -> Trace {
-        let mut cursors: Vec<(ThreadTrace, usize)> =
-            threads.into_iter().map(|t| (t, 0usize)).collect();
-        cursors.sort_by_key(|(t, _)| t.thread());
-        let total: usize = cursors.iter().map(|(t, _)| t.len()).sum();
-        let mut out = Trace::new();
-        out.events.reserve(total + 16);
-        let mut current: Option<ThreadId> = None;
-        loop {
-            // Pick the cursor with the smallest next timestamp (ties: lowest
-            // thread id first — deterministic but arbitrary).
-            let mut best: Option<usize> = None;
-            for (i, (t, pos)) in cursors.iter().enumerate() {
-                if *pos >= t.len() {
-                    continue;
-                }
-                let ts = t.events[*pos].0;
-                match best {
-                    None => best = Some(i),
-                    Some(b) => {
-                        if ts < cursors[b].0.events[cursors[b].1].0 {
-                            best = Some(i);
-                        }
-                    }
-                }
-            }
-            let Some(i) = best else { break };
-            let thread = cursors[i].0.thread();
-            let (time, event) = cursors[i].0.events[cursors[i].1];
-            cursors[i].1 += 1;
-            if current.is_some() && current != Some(thread) {
-                out.push(thread, Event::ThreadSwitch);
-            }
-            current = Some(thread);
-            let _ = time; // original timestamps are superseded by the total order
-            out.push(thread, event);
-        }
-        out
+        self.events.push(TimedEvent { thread, event });
     }
 
     /// The events in total order.
@@ -246,9 +109,7 @@ impl Extend<(ThreadId, Event)> for Trace {
 /// stream length. Batches are `chunk_size` events (0 is treated as 1),
 /// extended so they never end on an [`Event::ThreadSwitch`] — a switch is
 /// always delivered in the same batch as the first operation of the thread
-/// switched to. Timestamps are synthesized consecutively from 1, exactly as
-/// [`Trace::push`] assigns them, so profiles are byte-identical whatever
-/// the source.
+/// switched to.
 ///
 /// # Errors
 ///
@@ -261,12 +122,12 @@ where
     I: IntoIterator<Item = Result<(ThreadId, Event), E>>,
 {
     let chunk_size = chunk_size.max(1);
-    let mut clock = 0u64;
+    let mut dispatched = 0u64;
     let mut batch: Vec<TimedEvent> = Vec::with_capacity(chunk_size.min(1 << 16) + 8);
     for item in events {
         let (thread, event) = item?;
-        clock += 1;
-        batch.push(TimedEvent { time: Timestamp::new(clock), thread, event });
+        dispatched += 1;
+        batch.push(TimedEvent { thread, event });
         if batch.len() >= chunk_size && event.kind() != EventKind::ThreadSwitch {
             tool.on_batch(&batch);
             batch.clear();
@@ -276,7 +137,7 @@ where
         tool.on_batch(&batch);
     }
     tool.finish();
-    Ok(clock)
+    Ok(dispatched)
 }
 
 /// Summary statistics of a [`Trace`].
@@ -308,70 +169,6 @@ mod tests {
     }
     fn wr(a: u64) -> Event {
         Event::Write { addr: Addr::new(a) }
-    }
-
-    #[test]
-    fn push_assigns_increasing_timestamps() {
-        let mut t = Trace::new();
-        t.push(ThreadId::MAIN, rd(0));
-        t.push(ThreadId::MAIN, rd(1));
-        assert!(t.events()[0].time < t.events()[1].time);
-    }
-
-    #[test]
-    fn merge_interleaves_by_timestamp() {
-        let mut a = ThreadTrace::new(ThreadId::new(0));
-        a.push_at(Timestamp::new(1), wr(1));
-        a.push_at(Timestamp::new(5), rd(1));
-        let mut b = ThreadTrace::new(ThreadId::new(1));
-        b.push_at(Timestamp::new(3), wr(2));
-        let merged = Trace::merge(vec![a, b]);
-        let kinds: Vec<_> = merged.events().iter().map(|e| e.event.kind()).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                EventKind::Write,       // T0 wr(1) @1
-                EventKind::ThreadSwitch,
-                EventKind::Write,       // T1 wr(2) @3
-                EventKind::ThreadSwitch,
-                EventKind::Read,        // T0 rd(1) @5
-            ]
-        );
-    }
-
-    #[test]
-    fn merge_tie_break_is_deterministic() {
-        let build = || {
-            let mut a = ThreadTrace::new(ThreadId::new(0));
-            a.push_at(Timestamp::new(1), wr(1));
-            let mut b = ThreadTrace::new(ThreadId::new(1));
-            b.push_at(Timestamp::new(1), wr(2));
-            Trace::merge(vec![a, b])
-        };
-        let x = build();
-        let y = build();
-        let ex: Vec<_> = x.events().iter().map(|e| (e.thread, e.event)).collect();
-        let ey: Vec<_> = y.events().iter().map(|e| (e.thread, e.event)).collect();
-        assert_eq!(ex, ey);
-    }
-
-    #[test]
-    fn merge_single_thread_inserts_no_switches() {
-        let mut a = ThreadTrace::new(ThreadId::new(0));
-        for i in 0..5 {
-            a.push(rd(i));
-        }
-        let merged = Trace::merge(vec![a]);
-        assert_eq!(merged.stats().count(EventKind::ThreadSwitch), 0);
-        assert_eq!(merged.len(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn thread_trace_rejects_time_travel() {
-        let mut a = ThreadTrace::new(ThreadId::new(0));
-        a.push_at(Timestamp::new(5), rd(0));
-        a.push_at(Timestamp::new(2), rd(1));
     }
 
     #[test]

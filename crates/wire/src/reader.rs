@@ -151,6 +151,25 @@ impl<R: Read> WireReader<R> {
         Ok(())
     }
 
+    /// Reads the `len` bytes a length field declared into `buf`, which is
+    /// cleared first and grows only as bytes arrive: a forged length costs
+    /// what the stream actually holds, not what it claims.
+    fn read_declared(
+        &mut self,
+        buf: &mut Vec<u8>,
+        len: usize,
+        context: &'static str,
+    ) -> Result<(), WireError> {
+        buf.clear();
+        let got = (&mut self.inner).take(len as u64).read_to_end(buf).map_err(WireError::Io)?;
+        self.offset += got as u64;
+        self.stats.bytes_read = self.offset;
+        if got < len {
+            return Err(WireError::UnexpectedEof { context });
+        }
+        Ok(())
+    }
+
     fn read_u32(&mut self, context: &'static str) -> Result<u32, WireError> {
         let mut b = [0u8; 4];
         self.read_exact_ctx(&mut b, context)?;
@@ -182,8 +201,8 @@ impl<R: Read> WireReader<R> {
         if u64::from(payload_len) > MAX_HEADER_BYTES {
             return Err(corrupt("declared header length exceeds the format maximum"));
         }
-        let mut payload = vec![0u8; payload_len as usize];
-        self.read_exact_ctx(&mut payload, "header payload")?;
+        let mut payload = Vec::new();
+        self.read_declared(&mut payload, payload_len as usize, "header payload")?;
         let stored_crc = self.read_u32("header crc")?;
         if crc32(&payload) != stored_crc {
             return Err(corrupt("header crc mismatch"));
@@ -262,9 +281,8 @@ impl<R: Read> WireReader<R> {
                 max: MAX_CHUNK_BYTES,
             });
         }
-        self.payload.resize(payload_len as usize, 0);
         let mut payload = std::mem::take(&mut self.payload);
-        let read = self.read_exact_ctx(&mut payload, "chunk payload");
+        let read = self.read_declared(&mut payload, payload_len as usize, "chunk payload");
         self.payload = payload;
         read?;
         self.stats.peak_chunk_bytes = self.stats.peak_chunk_bytes.max(self.payload.len());

@@ -45,9 +45,35 @@ use aprof::workloads::{all, by_name, WorkloadParams};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom};
 
+/// Exit status of a command whose stdout was closed, as a shell reports a
+/// process ended by SIGPIPE (128 + 13).
+const CLOSED_STDOUT: i32 = 141;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
+    // `print!` panics when stdout's reader has gone (`… | head`); that ends
+    // the command quietly. Every other panic keeps its message and status.
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if !info.payload_as_str().is_some_and(is_closed_stdout) {
+            report(info);
+        }
+    }));
+    let code = match std::panic::catch_unwind(|| dispatch(&args)) {
+        Ok(code) => code,
+        Err(payload) if payload.downcast_ref().is_some_and(|m: &String| is_closed_stdout(m)) => CLOSED_STDOUT,
+        Err(payload) => std::panic::resume_unwind(payload),
+    };
+    std::process::exit(code);
+}
+
+/// Whether a panic message is std's report of a write to a closed stdout.
+fn is_closed_stdout(message: &str) -> bool {
+    message.starts_with("failed printing to stdout") && message.contains("Broken pipe")
+}
+
+fn dispatch(args: &[String]) -> i32 {
+    match args.first().map(String::as_str) {
         Some("list") => cmd_list(),
         Some("run") => with_observe(&args[1..], cmd_run),
         Some("asm") => with_observe(&args[1..], cmd_asm),
@@ -70,8 +96,7 @@ fn main() {
             eprintln!("unknown command `{other}`\n{USAGE}");
             2
         }
-    };
-    std::process::exit(code);
+    }
 }
 
 /// Wraps a command with the observability lifecycle: `--observe` (or an

@@ -391,3 +391,22 @@ fn csv_export_writes_summary() {
     assert!(csv.contains("consumer"), "{csv}");
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let dir = std::env::temp_dir().join(format!("aprof-cli-test-closed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let wire = dir.join("trace.wire");
+    let wire_s = wire.to_str().unwrap();
+    run_ok(&["record", wire_s, "--workload", "producer_consumer", "--size", "20", "--threads", "2"]);
+
+    for args in [&["replay", wire_s][..], &["list"]] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = cli().args(args).stdout(writer).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(141), "`aprof-cli {}`: {stderr}", args.join(" "));
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

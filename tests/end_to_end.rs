@@ -4,7 +4,7 @@
 use aprof::analysis::{fit_best, CostPlot, Metric, PlotKind};
 use aprof::core::{NaiveProfiler, TrmsProfiler};
 use aprof::tools::{CallgrindTool, HelgrindTool};
-use aprof::trace::{RecordingTool, Tool, Trace};
+use aprof::trace::{Event, RecordingTool, Tool, Trace};
 use aprof::workloads::{all, by_name, WorkloadParams};
 
 fn record(name: &str, params: &WorkloadParams) -> (aprof::trace::RoutineTable, Trace) {
@@ -210,4 +210,39 @@ fn recording_matches_outcome() {
     assert_eq!(switches, outcome.switches);
     let mut null = aprof::trace::NullTool::new();
     null.finish();
+}
+
+/// The VM's stream is the one totally ordered trace the profilers read: a
+/// `ThreadSwitch` separates any two operations of different threads and
+/// names the thread that runs next. Without the switch, trms would give a
+/// read and another thread's write the same counter value and miss the
+/// induced first access (§4.2).
+#[test]
+fn vm_streams_separate_threads_with_switches() {
+    for wl in all() {
+        for threads in [1, 3] {
+            let mut machine = wl.build(&WorkloadParams::new(24, threads));
+            let mut rec = RecordingTool::new();
+            machine.run_with(&mut rec).unwrap();
+            let mut previous = None; // thread of the last operation
+            let mut switched_to = None; // thread named by the last switch
+            let mut switched_since = false;
+            for (i, te) in rec.trace().iter().enumerate() {
+                if te.event == Event::ThreadSwitch {
+                    switched_to = Some(te.thread);
+                    switched_since = true;
+                    continue;
+                }
+                let at = format!("{} with {threads} threads, event {i}", wl.name);
+                if previous.is_some_and(|p| p != te.thread) {
+                    assert!(switched_since, "{at}: {:?} follows {previous:?} without a switch", te.thread);
+                }
+                if let Some(to) = switched_to {
+                    assert_eq!(to, te.thread, "{at}: the last switch named another thread");
+                }
+                previous = Some(te.thread);
+                switched_since = false;
+            }
+        }
+    }
 }
