@@ -539,6 +539,7 @@ mod tests {
 
     #[test]
     fn default_seed_chaos_soak_passes_and_is_not_vacuous() {
+        let _obs = crate::OBS_STATE.read().unwrap_or_else(|e| e.into_inner());
         let report = chaos_smoke_with(DEFAULT_CHAOS_SEED, 4).expect("chaos soak passes");
         assert!(report.contains("all chaos invariants held"), "{report}");
         assert!(report.contains("injected net faults"), "{report}");
@@ -546,6 +547,7 @@ mod tests {
 
     #[test]
     fn alternate_seeds_hold_the_same_invariants() {
+        let _obs = crate::OBS_STATE.read().unwrap_or_else(|e| e.into_inner());
         for seed in [0x00DD_BA11, 0x5EED] {
             let report = chaos_smoke_with(seed, 3).expect("chaos soak passes");
             assert!(report.contains("all chaos invariants held"), "{report}");

@@ -29,6 +29,13 @@ pub mod obs_bench;
 pub mod suite;
 pub mod wire_bench;
 
+/// Guards the process-wide `aprof_obs` state in unit tests: the chaos soaks
+/// read counter deltas while observability is on, and the observability
+/// benchmark switches it off and zeroes every counter. Soaks share the
+/// lock (their deltas are lower bounds); the benchmark holds it alone.
+#[cfg(test)]
+static OBS_STATE: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
 pub use bound_bench::bound_report;
 pub use check_bench::check_report;
 pub use corpus_bench::{corpus_smoke, corpus_smoke_with, DEFAULT_CORPUS_SEED};

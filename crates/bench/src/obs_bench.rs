@@ -94,6 +94,7 @@ mod tests {
 
     #[test]
     fn obs_report_has_sane_fields() {
+        let _obs = crate::OBS_STATE.write().unwrap_or_else(|e| e.into_inner());
         let report = obs_report_sized(48);
         let rendered = report.render();
         for key in ["overhead_percent", "baseline_secs", "observed_vm_events", "within_target"] {

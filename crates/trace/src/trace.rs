@@ -83,18 +83,14 @@ impl Trace {
 impl FromIterator<(ThreadId, Event)> for Trace {
     fn from_iter<I: IntoIterator<Item = (ThreadId, Event)>>(iter: I) -> Self {
         let mut t = Trace::new();
-        for (thread, event) in iter {
-            t.push(thread, event);
-        }
+        t.extend(iter);
         t
     }
 }
 
 impl Extend<(ThreadId, Event)> for Trace {
     fn extend<I: IntoIterator<Item = (ThreadId, Event)>>(&mut self, iter: I) {
-        for (thread, event) in iter {
-            self.push(thread, event);
-        }
+        self.events.extend(iter.into_iter().map(|(thread, event)| TimedEvent { thread, event }));
     }
 }
 
