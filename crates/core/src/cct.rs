@@ -75,12 +75,7 @@ impl Cct {
     /// Creates a tree containing only the root context.
     pub fn new() -> Self {
         Cct {
-            nodes: vec![Node {
-                routine: None,
-                parent: CctNodeId::ROOT,
-                depth: 0,
-                children: HashMap::new(),
-            }],
+            nodes: vec![Node { routine: None, parent: CctNodeId::ROOT, depth: 0, children: HashMap::new() }],
             profiles: vec![RoutineThreadProfile::default()],
         }
     }
@@ -93,12 +88,7 @@ impl Cct {
         }
         let id = CctNodeId(self.nodes.len() as u32);
         let depth = self.nodes[parent.index()].depth + 1;
-        self.nodes.push(Node {
-            routine: Some(routine),
-            parent,
-            depth,
-            children: HashMap::new(),
-        });
+        self.nodes.push(Node { routine: Some(routine), parent, depth, children: HashMap::new() });
         self.profiles.push(RoutineThreadProfile::default());
         self.nodes[parent.index()].children.insert(routine, id);
         id

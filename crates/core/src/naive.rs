@@ -209,12 +209,7 @@ impl NaiveProfiler {
     }
 
     fn unwind(&mut self, thread: ThreadId) {
-        while self
-            .threads
-            .get(thread.index())
-            .map(|st| !st.stack.is_empty())
-            .unwrap_or(false)
-        {
+        while self.threads.get(thread.index()).map(|st| !st.stack.is_empty()).unwrap_or(false) {
             let routine = self.threads[thread.index()].stack.last().expect("nonempty").routine;
             self.on_return(thread, routine);
         }

@@ -73,14 +73,8 @@ mod tests {
     #[test]
     fn presets() {
         assert_eq!(InputPolicy::full(), InputPolicy { thread_induced: true, external: true });
-        assert_eq!(
-            InputPolicy::external_only(),
-            InputPolicy { thread_induced: false, external: true }
-        );
-        assert_eq!(
-            InputPolicy::thread_only(),
-            InputPolicy { thread_induced: true, external: false }
-        );
+        assert_eq!(InputPolicy::external_only(), InputPolicy { thread_induced: false, external: true });
+        assert_eq!(InputPolicy::thread_only(), InputPolicy { thread_induced: true, external: false });
         assert_eq!(InputPolicy::rms_only(), InputPolicy { thread_induced: false, external: false });
     }
 

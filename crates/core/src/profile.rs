@@ -312,21 +312,14 @@ impl ProfileReport {
         for ((thread, routine), profile) in profiles {
             let entry = by_routine.entry(routine).or_insert_with(|| RoutineReport {
                 routine: routine.index() as u32,
-                name: names
-                    .get_name(routine)
-                    .map(str::to_owned)
-                    .unwrap_or_else(|| routine.to_string()),
+                name: names.get_name(routine).map(str::to_owned).unwrap_or_else(|| routine.to_string()),
                 merged: RoutineThreadProfile::default(),
                 per_thread: BTreeMap::new(),
             });
             entry.merged.merge(&profile);
             entry.per_thread.insert(thread.index() as u32, profile);
         }
-        ProfileReport {
-            tool: tool.to_owned(),
-            routines: by_routine.into_values().collect(),
-            global,
-        }
+        ProfileReport { tool: tool.to_owned(), routines: by_routine.into_values().collect(), global }
     }
 
     /// Looks up the report of one routine.
@@ -425,13 +418,7 @@ impl ProfileReport {
                 out,
                 "{indent}calls={} reads={} induced_thread={} induced_external={} \
                  sum_trms={} sum_rms={} total_cost={}",
-                p.calls,
-                p.reads,
-                p.induced_thread,
-                p.induced_external,
-                p.sum_trms,
-                p.sum_rms,
-                p.total_cost
+                p.calls, p.reads, p.induced_thread, p.induced_external, p.sum_trms, p.sum_rms, p.total_cost
             );
             for (label, curve) in [("trms", &p.trms), ("rms", &p.rms)] {
                 for (value, stats) in curve {
@@ -529,12 +516,7 @@ mod tests {
         merged.record(2, 1, 10);
         merged.record(4, 2, 20);
         merged.record(6, 3, 30);
-        let r = RoutineReport {
-            routine: 0,
-            name: "f".into(),
-            merged,
-            per_thread: BTreeMap::new(),
-        };
+        let r = RoutineReport { routine: 0, name: "f".into(), merged, per_thread: BTreeMap::new() };
         // 3 distinct trms, 3 distinct rms -> richness 0
         assert_eq!(r.profile_richness(), 0.0);
         // volume = 1 - 6/12 = 0.5
@@ -586,10 +568,7 @@ mod tests {
         let names: Vec<&str> = merged.routines.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, ["f", "g", "h"]);
         // Dense ids in name order, regardless of input ids.
-        assert_eq!(
-            merged.routines.iter().map(|r| r.routine).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
+        assert_eq!(merged.routines.iter().map(|r| r.routine).collect::<Vec<_>>(), vec![0, 1, 2]);
         let g = merged.routine_by_name("g").unwrap();
         assert_eq!(g.merged.calls, 2);
         assert_eq!(g.per_thread[&1].calls, 2);

@@ -170,8 +170,7 @@ fn paper(threads: &mut [ThreadState], wts: &mut ShadowMemory<u64>, count: &mut u
 
 fn exact(threads: &mut [ThreadState], wts: &mut ShadowMemory<u64>, count: &mut u64) {
     // Gather every live timestamp value.
-    let mut values: Vec<u64> =
-        threads.iter().flat_map(|t| t.stack.iter().map(|f| f.ts)).collect();
+    let mut values: Vec<u64> = threads.iter().flat_map(|t| t.stack.iter().map(|f| f.ts)).collect();
     for st in threads.iter_mut() {
         st.ts.for_each_mut(|_, v| {
             if *v != 0 {
@@ -187,9 +186,8 @@ fn exact(threads: &mut [ThreadState], wts: &mut ShadowMemory<u64>, count: &mut u
     values.sort_unstable();
     values.dedup();
 
-    let remap = |v: u64| -> u64 {
-        (values.binary_search(&v).expect("live timestamp must be collected") as u64) + 1
-    };
+    let remap =
+        |v: u64| -> u64 { (values.binary_search(&v).expect("live timestamp must be collected") as u64) + 1 };
 
     for st in threads.iter_mut() {
         for f in st.stack.iter_mut() {

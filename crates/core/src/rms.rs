@@ -147,23 +147,12 @@ impl RmsProfiler {
         self.global.sum_rms += rms;
         self.global.sum_trms += rms;
         if self.log_activations {
-            self.activations.push(ActivationRecord {
-                thread,
-                routine: frame.routine,
-                trms: rms,
-                rms,
-                cost,
-            });
+            self.activations.push(ActivationRecord { thread, routine: frame.routine, trms: rms, rms, cost });
         }
     }
 
     fn unwind(&mut self, thread: ThreadId) {
-        while self
-            .threads
-            .get(thread.index())
-            .map(|st| !st.stack.is_empty())
-            .unwrap_or(false)
-        {
+        while self.threads.get(thread.index()).map(|st| !st.stack.is_empty()).unwrap_or(false) {
             let routine = self.threads[thread.index()].stack.last().expect("nonempty").routine;
             self.on_return(thread, routine);
         }
@@ -281,11 +270,14 @@ mod tests {
         let mut prof = RmsProfiler::new();
         tr.replay(&mut prof);
         let report = prof.into_report(&names);
-        assert_eq!(report.routine(consume).unwrap().rms_curve(), vec![(1, {
-            let mut s = crate::CostStats::default();
-            s.record(0);
-            s
-        })]);
+        assert_eq!(
+            report.routine(consume).unwrap().rms_curve(),
+            vec![(1, {
+                let mut s = crate::CostStats::default();
+                s.record(0);
+                s
+            })]
+        );
     }
 
     /// rms ignores kernel refills: the buffered reader of Fig. 3 has rms 1.

@@ -394,12 +394,7 @@ impl TrmsProfiler {
     }
 
     fn unwind(&mut self, thread: ThreadId) {
-        while self
-            .threads
-            .get(thread.index())
-            .map(|st| !st.stack.is_empty())
-            .unwrap_or(false)
-        {
+        while self.threads.get(thread.index()).map(|st| !st.stack.is_empty()).unwrap_or(false) {
             let routine = self.threads[thread.index()].stack.last().expect("nonempty").routine;
             self.on_return(thread, routine);
         }
@@ -439,13 +434,7 @@ impl TrmsProfiler {
         self.global.sum_rms += rms;
 
         if self.log_activations {
-            self.activations.push(ActivationRecord {
-                thread,
-                routine: frame.routine,
-                trms,
-                rms,
-                cost,
-            });
+            self.activations.push(ActivationRecord { thread, routine: frame.routine, trms, rms, cost });
         }
     }
 }
@@ -549,8 +538,7 @@ impl Tool for TrmsProfiler {
             for te in &events[i..j] {
                 let Event::Read { addr } = te.event else { unreachable!() };
                 let packed = self.wts.get(addr);
-                let (it, ie) =
-                    Self::apply_read(&mut self.threads[idx], count, policy, packed, addr);
+                let (it, ie) = Self::apply_read(&mut self.threads[idx], count, policy, packed, addr);
                 induced_thread += it as u64;
                 induced_external += ie as u64;
             }

@@ -46,8 +46,7 @@ fn contexts_separate_what_flat_profiles_merge() {
 
     // CCT: two distinct leaf contexts, each with one size.
     let hot = cct.hottest(&names);
-    let leaf_contexts: Vec<_> =
-        hot.iter().filter(|c| c.path.ends_with("-> leaf")).collect();
+    let leaf_contexts: Vec<_> = hot.iter().filter(|c| c.path.ends_with("-> leaf")).collect();
     assert_eq!(leaf_contexts.len(), 2, "{hot:?}");
     for ctx in &leaf_contexts {
         assert_eq!(ctx.calls, 1);

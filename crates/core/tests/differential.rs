@@ -43,8 +43,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// would underflow a thread's stack.
 fn build_trace(ops: &[Op]) -> (RoutineTable, Trace) {
     let mut names = RoutineTable::new();
-    let routines: Vec<RoutineId> =
-        (0..ROUTINES).map(|i| names.intern(&format!("r{i}"))).collect();
+    let routines: Vec<RoutineId> = (0..ROUTINES).map(|i| names.intern(&format!("r{i}"))).collect();
     let mut depths = vec![0usize; THREADS as usize];
     let mut stacks: Vec<Vec<RoutineId>> = vec![Vec::new(); THREADS as usize];
     let mut current: Option<u32> = None;
@@ -71,18 +70,14 @@ fn build_trace(ops: &[Op]) -> (RoutineTable, Trace) {
                 }
             }
             Op::Read(t, a) => emit(&mut trace, &mut current, t, Event::Read { addr: Addr::new(a) }),
-            Op::Write(t, a) => {
-                emit(&mut trace, &mut current, t, Event::Write { addr: Addr::new(a) })
-            }
+            Op::Write(t, a) => emit(&mut trace, &mut current, t, Event::Write { addr: Addr::new(a) }),
             Op::KernelRead(t, a) => {
                 emit(&mut trace, &mut current, t, Event::KernelRead { addr: Addr::new(a) })
             }
             Op::KernelWrite(t, a) => {
                 emit(&mut trace, &mut current, t, Event::KernelWrite { addr: Addr::new(a) })
             }
-            Op::Cost(t, c) => {
-                emit(&mut trace, &mut current, t, Event::BasicBlock { cost: c })
-            }
+            Op::Cost(t, c) => emit(&mut trace, &mut current, t, Event::BasicBlock { cost: c }),
         }
     }
     (names, trace)
