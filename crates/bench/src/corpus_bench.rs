@@ -6,8 +6,8 @@
 //! exactly with the same `--corpus-seed`:
 //!
 //! 1. **Clean sweep** — generate programs under every generator profile
-//!    and run all four oracles (naive-vs-engine, batched-vs-sequential,
-//!    wire round-trip, static-vs-dynamic) on each; everything must pass.
+//!    and run all four oracles (naive-vs-engine, wire round-trip,
+//!    static-vs-dynamic, bound-vs-fit) on each; everything must pass.
 //! 2. **Jobs invariance** — the mixed-profile sweep re-run at 1, 2 and 8
 //!    workers must render byte-identical reports and digests.
 //! 3. **Crash differential** — the mixed sweep again with `--faults`

@@ -1,7 +1,7 @@
 //! The sequential rms profiler (`aprof-rms`, the PLDI 2012 tool).
 
 use crate::profile::{ActivationRecord, GlobalStats, ProfileReport, RoutineThreadProfile};
-use aprof_trace::{Addr, Event, RoutineId, RoutineTable, ThreadId, TimedEvent, Tool};
+use aprof_trace::{Addr, RoutineId, RoutineTable, ThreadId, Tool};
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, Copy)]
@@ -26,26 +26,6 @@ struct RmsThread {
 impl RmsThread {
     fn deepest_at_or_before(&self, lts: u64) -> Option<usize> {
         self.stack.partition_point(|f| f.ts <= lts).checked_sub(1)
-    }
-
-    /// Procedure `read` of the sequential algorithm, operating purely on
-    /// thread state so both the per-event and the batched paths share it.
-    /// Fetches the cell's last-access timestamp and stamps it with the
-    /// current counter in one shadow-table traversal.
-    fn apply_read(&mut self, addr: Addr) {
-        let count = self.count;
-        let lts = self.ts.get_set(addr, count);
-        if let Some(top) = self.stack.len().checked_sub(1) {
-            self.stack[top].reads += 1;
-            if lts < self.stack[top].ts {
-                self.stack[top].partial_rms += 1;
-                if lts != 0 {
-                    if let Some(j) = self.deepest_at_or_before(lts) {
-                        self.stack[j].partial_rms -= 1;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -177,39 +157,22 @@ impl Tool for RmsProfiler {
     }
 
     fn read(&mut self, thread: ThreadId, addr: Addr) {
+        // Procedure `read` of the sequential algorithm. Fetches the cell's
+        // last-access timestamp and stamps it with the current counter in
+        // one shadow-table traversal.
         self.global.reads += 1;
-        self.state(thread).apply_read(addr);
-    }
-
-    /// Batched dispatch with a same-thread read-run fast path: a run of
-    /// consecutive `Read` events by one thread resolves the thread state
-    /// once and bumps the global read counter once per run. Everything else
-    /// falls back to [`dispatch`](Tool::dispatch), so observable behaviour
-    /// is identical to sequential replay.
-    fn on_batch(&mut self, events: &[TimedEvent]) {
-        let mut i = 0;
-        while i < events.len() {
-            let te = &events[i];
-            if !matches!(te.event, Event::Read { .. }) {
-                self.dispatch(te.thread, te.event);
-                i += 1;
-                continue;
+        let st = self.state(thread);
+        let lts = st.ts.get_set(addr, st.count);
+        if let Some(top) = st.stack.len().checked_sub(1) {
+            st.stack[top].reads += 1;
+            if lts < st.stack[top].ts {
+                st.stack[top].partial_rms += 1;
+                if lts != 0 {
+                    if let Some(j) = st.deepest_at_or_before(lts) {
+                        st.stack[j].partial_rms -= 1;
+                    }
+                }
             }
-            let thread = te.thread;
-            let mut j = i + 1;
-            while j < events.len()
-                && events[j].thread == thread
-                && matches!(events[j].event, Event::Read { .. })
-            {
-                j += 1;
-            }
-            self.global.reads += (j - i) as u64;
-            let st = self.state(thread);
-            for te in &events[i..j] {
-                let Event::Read { addr } = te.event else { unreachable!() };
-                st.apply_read(addr);
-            }
-            i = j;
         }
     }
 

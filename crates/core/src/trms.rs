@@ -5,16 +5,20 @@ use crate::profile::{ActivationRecord, GlobalStats, ProfileReport, RoutineThread
 use crate::renumber::{self, RenumberScheme};
 use crate::InputPolicy;
 use aprof_shadow::ShadowMemory;
-use aprof_trace::{Addr, Event, RoutineId, RoutineTable, ThreadId, TimedEvent, Tool};
+use aprof_trace::{Addr, Event, RoutineId, RoutineTable, ThreadId, Tool};
 use std::collections::BTreeMap;
 
 /// Default counter limit: 32-bit timestamps, as stored by the paper's
 /// three-level shadow memory chunks.
 const DEFAULT_COUNTER_LIMIT: u64 = u32::MAX as u64;
 
-/// Events per [`Tool::on_batch`] delivery used by
-/// [`TrmsProfiler::consume_stream`] — large enough to amortize dispatch,
-/// small enough to stay cache-resident.
+/// The batch size replay took before it dispatched one event at a time.
+///
+/// Nothing in the workspace reads it. It is kept only because
+/// `aprof-benchmark` passes it to [`Trace::replay_batched`], and it goes
+/// with that shim.
+///
+/// [`Trace::replay_batched`]: aprof_trace::Trace::replay_batched
 pub const DEFAULT_STREAM_BATCH: usize = 4096;
 
 /// One entry of a per-thread shadow run-time stack.
@@ -260,10 +264,10 @@ impl TrmsProfiler {
         stats.bytes as u64
     }
 
-    /// Consumes a fallible event stream (e.g. a wire-trace decoder) with
-    /// [`aprof_trace::replay`] in [`DEFAULT_STREAM_BATCH`]-event batches, so
-    /// traces far larger than memory profile in bounded space. Returns the
-    /// events consumed.
+    /// Consumes a fallible event stream (e.g. a wire-trace decoder): one
+    /// line over [`aprof_trace::replay`], which the workspace calls
+    /// directly. Kept, with its signature, only because `aprof-benchmark`
+    /// calls it. Returns the events consumed.
     ///
     /// # Errors
     ///
@@ -273,7 +277,7 @@ impl TrmsProfiler {
     where
         I: IntoIterator<Item = Result<(ThreadId, Event), E>>,
     {
-        aprof_trace::replay(self, events, DEFAULT_STREAM_BATCH)
+        aprof_trace::replay(self, events)
     }
 
     /// Finalizes the session (unwinding any still-pending activations) and
@@ -320,30 +324,10 @@ impl TrmsProfiler {
         let count = self.count;
         let policy = self.policy;
         let packed = self.wts.get(addr);
-        let st = self.state(thread);
-        let (induced_thread, induced_external) = Self::apply_read(st, count, policy, packed, addr);
-        if induced_thread {
-            self.global.induced_thread += 1;
-        }
-        if induced_external {
-            self.global.induced_external += 1;
-        }
-    }
-
-    /// The thread-state half of procedure `read`: everything except the
-    /// `wts` lookup and the global induced counters, so the batched read
-    /// path can run it under a split borrow of `self`. Returns whether the
-    /// read was an induced (thread, external) first-access.
-    fn apply_read(
-        st: &mut ThreadState,
-        count: u64,
-        policy: InputPolicy,
-        packed: u64,
-        addr: Addr,
-    ) -> (bool, bool) {
         let (w_ts, w_kernel) = (packed >> 1, packed & 1 == 1);
         let mut induced_thread = false;
         let mut induced_external = false;
+        let st = self.state(thread);
         // Combined lines 1 and 12 of procedure read: fetch the thread's last
         // access timestamp and stamp the cell with the current counter in
         // one shadow-table traversal.
@@ -390,7 +374,12 @@ impl TrmsProfiler {
                 }
             }
         }
-        (induced_thread, induced_external)
+        if induced_thread {
+            self.global.induced_thread += 1;
+        }
+        if induced_external {
+            self.global.induced_external += 1;
+        }
     }
 
     fn unwind(&mut self, thread: ThreadId) {
@@ -500,52 +489,6 @@ impl Tool for TrmsProfiler {
     fn read(&mut self, thread: ThreadId, addr: Addr) {
         self.global.reads += 1;
         self.on_read(thread, addr);
-    }
-
-    /// Batched dispatch with a same-thread read-run fast path.
-    ///
-    /// Thread reads neither tick the global counter nor touch `wts`, so
-    /// within a run of consecutive `Read` events by one thread the counter,
-    /// policy and thread-state lookup are loop-invariant: the run is
-    /// processed with one `state()` resolution and one split borrow,
-    /// accumulating the global induced/read counters once per run. All
-    /// other events (and reads by a thread that just switched in) fall back
-    /// to one-at-a-time [`dispatch`](Tool::dispatch), so observable
-    /// behaviour is identical to sequential replay.
-    fn on_batch(&mut self, events: &[TimedEvent]) {
-        let mut i = 0;
-        while i < events.len() {
-            let te = &events[i];
-            if !matches!(te.event, Event::Read { .. }) {
-                self.dispatch(te.thread, te.event);
-                i += 1;
-                continue;
-            }
-            let thread = te.thread;
-            let mut j = i + 1;
-            while j < events.len()
-                && events[j].thread == thread
-                && matches!(events[j].event, Event::Read { .. })
-            {
-                j += 1;
-            }
-            self.global.reads += (j - i) as u64;
-            let count = self.count;
-            let policy = self.policy;
-            self.state(thread); // materialize the slot once for the run
-            let idx = thread.index();
-            let (mut induced_thread, mut induced_external) = (0u64, 0u64);
-            for te in &events[i..j] {
-                let Event::Read { addr } = te.event else { unreachable!() };
-                let packed = self.wts.get(addr);
-                let (it, ie) = Self::apply_read(&mut self.threads[idx], count, policy, packed, addr);
-                induced_thread += it as u64;
-                induced_external += ie as u64;
-            }
-            self.global.induced_thread += induced_thread;
-            self.global.induced_external += induced_external;
-            i = j;
-        }
     }
 
     fn write(&mut self, thread: ThreadId, addr: Addr) {

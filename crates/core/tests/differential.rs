@@ -102,15 +102,6 @@ fn run_oracle(trace: &Trace, policy: InputPolicy) -> Summary {
     p.activations().iter().map(|r| (r.thread, r.routine, r.trms, r.rms, r.cost)).collect()
 }
 
-/// Like [`run_engine`], but dispatching through [`Trace::replay_batched`]
-/// with the given chunk size (exercising the same-thread read-run fast
-/// paths of `Tool::on_batch`).
-fn run_engine_batched(trace: &Trace, policy: InputPolicy, chunk: usize) -> Summary {
-    let mut p = TrmsProfiler::builder().policy(policy).log_activations(true).build();
-    trace.replay_batched(&mut p, chunk);
-    p.activations().iter().map(|r| (r.thread, r.routine, r.trms, r.rms, r.cost)).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -163,80 +154,6 @@ proptest! {
         {
             prop_assert!(trms >= rms);
         }
-    }
-
-    /// Batched replay == sequential replay == oracle, for chunk sizes that
-    /// land boundaries everywhere (mid-run, on switches, degenerate 1-event
-    /// chunks, whole-trace chunks).
-    #[test]
-    fn batched_replay_matches_sequential(
-        ops in prop::collection::vec(op_strategy(), 1..250),
-        chunk in 1usize..64,
-    ) {
-        let (_names, trace) = build_trace(&ops);
-        let sequential = run_engine(
-            &trace, InputPolicy::full(), u32::MAX as u64, RenumberScheme::Paper);
-        prop_assert_eq!(
-            run_engine_batched(&trace, InputPolicy::full(), chunk),
-            sequential.clone()
-        );
-        for chunk in [1, 2, trace.len().max(1), trace.len() + 7] {
-            prop_assert_eq!(
-                run_engine_batched(&trace, InputPolicy::full(), chunk),
-                sequential.clone()
-            );
-        }
-        prop_assert_eq!(
-            run_engine_batched(&trace, InputPolicy::full(), 16),
-            run_oracle(&trace, InputPolicy::full())
-        );
-    }
-
-    /// Batched replay matches sequential replay under every partial policy
-    /// (the induced-access branches differ per policy, so the fast path
-    /// must agree in all of them).
-    #[test]
-    fn batched_replay_matches_all_policies(
-        ops in prop::collection::vec(op_strategy(), 1..150),
-        chunk in 1usize..48,
-    ) {
-        let (_names, trace) = build_trace(&ops);
-        for policy in [
-            InputPolicy::rms_only(),
-            InputPolicy::thread_only(),
-            InputPolicy::external_only(),
-        ] {
-            prop_assert_eq!(
-                run_engine_batched(&trace, policy, chunk),
-                run_engine(&trace, policy, u32::MAX as u64, RenumberScheme::Paper)
-            );
-        }
-    }
-
-    /// The lean RmsProfiler's batched fast path agrees with its own
-    /// sequential dispatch on kernel-free traces.
-    #[test]
-    fn batched_lean_rms_matches_sequential(
-        ops in prop::collection::vec(op_strategy(), 1..200),
-        chunk in 1usize..48,
-    ) {
-        let kernel_free: Vec<Op> = ops
-            .into_iter()
-            .filter(|op| !matches!(op, Op::KernelRead(..) | Op::KernelWrite(..)))
-            .collect();
-        let (_names, trace) = build_trace(&kernel_free);
-        let run = |batched: Option<usize>| -> Vec<_> {
-            let mut p = aprof_core::RmsProfiler::with_activation_log();
-            match batched {
-                Some(chunk) => trace.replay_batched(&mut p, chunk),
-                None => trace.replay(&mut p),
-            }
-            p.activations()
-                .iter()
-                .map(|r| (r.thread, r.routine, r.rms, r.cost))
-                .collect()
-        };
-        prop_assert_eq!(run(Some(chunk)), run(None));
     }
 
     /// The lean RmsProfiler agrees with the engine's rms on kernel-free

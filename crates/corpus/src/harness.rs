@@ -1,7 +1,7 @@
 //! The fuzzing harness: parallel case execution, shrinking, reporting.
 //!
 //! [`run_fuzz`] sweeps `cases` seeds derived from one base seed, runs every
-//! generated program through the five [`oracle`](crate::oracle)s (optionally
+//! generated program through the four [`oracle`](crate::oracle)s (optionally
 //! on several worker threads), shrinks any failure to a (locally) minimal
 //! CFG via the vendored proptest's
 //! [`proptest::shrink::shrink_to_minimal`], and renders a

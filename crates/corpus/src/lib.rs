@@ -5,14 +5,14 @@
 //! guest programs — nested loops, irreducible-ish diamonds, recursion with
 //! data-dependent depth, fork/join worker pools over locks and shared
 //! cells, kernel-input read/write mixes — and a differential harness
-//! ([`harness`]) runs every one of them through five independent oracles
+//! ([`harness`]) runs every one of them through four independent oracles
 //! ([`oracle`]):
 //!
 //! 1. the rms/trms profiling engines against the naive set-based
 //!    re-execution oracle (Fig. 10 of the paper),
-//! 2. batched replay against sequential replay,
-//! 3. the wire-format round-trip against the directly captured stream,
-//! 4. the static verifier's verdict against the dynamic VM behaviour.
+//! 2. the wire-format round-trip against the directly captured stream,
+//! 3. the static verifier's verdict against the dynamic VM behaviour,
+//! 4. the static cost bounds against the growth fitted to the profile.
 //!
 //! Failures shrink to a (locally) minimal CFG through the vendored
 //! proptest's [`Shrink`](proptest::shrink::Shrink) machinery, and the

@@ -1,18 +1,17 @@
-//! The differential oracles: five independent ways of checking one case.
+//! The differential oracles: four independent ways of checking one case.
 //!
 //! Every generated program is executed **once** (recording both the event
 //! stream and its wire encoding from the same deterministic run) and the
-//! observation is then cross-checked five ways:
+//! observation is then cross-checked four ways:
 //!
 //! | oracle | under test            | reference                         |
 //! |--------|-----------------------|-----------------------------------|
 //! | A      | trms/rms profilers    | naive set-based re-execution      |
-//! | B      | batched replay        | sequential replay                 |
 //! | C      | wire round-trip       | directly captured event stream    |
 //! | D      | dynamic VM faults     | aprof-check static verdicts       |
 //! | E      | aprof-bound bounds    | growth fitted to the real profile |
 //!
-//! [`run_case`] passes only when all five agree. [`run_case_mutated`]
+//! [`run_case`] passes only when all four agree. [`run_case_mutated`]
 //! additionally corrupts the stream *seen by the profiler under test* (never
 //! the one seen by the reference) — the mutation-testing hook that proves
 //! the harness actually detects planted profiler bugs. Oracle E always
@@ -23,7 +22,7 @@ use std::io::Cursor;
 
 use aprof_check::check_program;
 use aprof_core::{InputPolicy, NaiveProfiler, RmsProfiler, TrmsProfiler};
-use aprof_trace::{replay, Event, EventKind, RecordingTool, RoutineId, ThreadId, TimedEvent, Tool, Trace};
+use aprof_trace::{Event, EventKind, RecordingTool, RoutineId, ThreadId, TimedEvent, Tool, Trace};
 use aprof_wire::{WireOptions, WireReader, WireWriter};
 
 use crate::gen::CaseSpec;
@@ -33,8 +32,6 @@ use crate::gen::CaseSpec;
 pub enum Oracle {
     /// A: trms/rms engine vs the naive set-based profiler.
     NaiveVsEngine,
-    /// B: batched replay vs sequential replay.
-    Batching,
     /// C: wire round-trip vs direct capture.
     Wire,
     /// D: aprof-check static verdicts vs dynamic VM behaviour.
@@ -48,7 +45,6 @@ impl Oracle {
     pub fn name(self) -> &'static str {
         match self {
             Oracle::NaiveVsEngine => "naive-vs-engine",
-            Oracle::Batching => "batched-vs-sequential",
             Oracle::Wire => "wire-roundtrip",
             Oracle::StaticVsDynamic => "static-vs-dynamic",
             Oracle::BoundVsFit => "bound-vs-fit",
@@ -71,7 +67,7 @@ impl std::fmt::Display for OracleFailure {
     }
 }
 
-/// Per-case observation summary (all five oracles passed).
+/// Per-case observation summary (all four oracles passed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CaseReport {
     /// Events the run produced.
@@ -86,7 +82,7 @@ pub struct CaseReport {
 }
 
 /// A deliberately planted profiler bug: a corruption of the event stream
-/// delivered to the profiler under test (oracles A and B) while the naive
+/// delivered to the profiler under test (oracle A) while the naive
 /// reference sees the true stream. Used by mutation tests to prove the
 /// harness detects real bugs; [`run_case`] never applies one.
 ///
@@ -272,19 +268,6 @@ pub fn run_case_mutated(
         if let Some(d) = diff_activations("lean-rms vs naive", &lean, &reference_rms) {
             return Err(OracleFailure { oracle: Oracle::NaiveVsEngine, detail: d });
         }
-    }
-
-    // --- Oracle B: batched replay vs sequential replay. ---
-    // The chunk size is seed-derived so the corpus sweeps batch boundaries.
-    let chunk = 1 + (spec.seed % 61) as usize;
-    let mut batched = TrmsProfiler::builder().policy(InputPolicy::full()).log_activations(true).build();
-    let src = viewed.iter().map(|te| Ok::<_, std::convert::Infallible>((te.thread, te.event)));
-    let Ok(_) = replay(&mut batched, src, chunk);
-    let batched: Vec<Activation> =
-        batched.activations().iter().map(|r| (r.thread, r.routine, r.trms, r.rms, r.cost)).collect();
-    if let Some(d) = diff_activations(&format!("batched(chunk={chunk}) vs sequential"), &batched, &engine)
-    {
-        return Err(OracleFailure { oracle: Oracle::Batching, detail: d });
     }
 
     // --- Oracle C: wire round-trip vs direct capture. ---

@@ -1,7 +1,7 @@
 //! `aprof-serve`: a multi-tenant streaming profiling service daemon.
 //!
 //! Everything the reproduction can do one-shot from the CLI — chunked
-//! CRC-checked wire traces, streaming [`consume_stream`] replay, crash-safe
+//! CRC-checked wire traces, streaming [`replay`] of decoded events, crash-safe
 //! durable capture, fault plans, obs counters, HTML reports — is packaged
 //! here as a long-running service:
 //!
@@ -39,7 +39,7 @@
 //! See `DESIGN.md` §12 for the architecture discussion and the wire
 //! protocol grammar.
 //!
-//! [`consume_stream`]: aprof_core::TrmsProfiler::consume_stream
+//! [`replay`]: aprof_trace::replay
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -68,8 +68,8 @@ pub use tenant::TenantSummary;
 
 /// Profiles one complete wire trace the way the daemon profiles a stream:
 /// a strict reader, a fresh [`TrmsProfiler`] fed through
-/// [`consume_stream`](TrmsProfiler::consume_stream), and a validated
-/// trailing index. Returns the profile and its event count.
+/// [`aprof_trace::replay`], and a validated trailing index. Returns the
+/// profile and its event count.
 ///
 /// Startup recovery re-reads the spool with it, and it is the one-shot
 /// oracle that a tenant's aggregate is checked against: the aggregate of
@@ -83,7 +83,7 @@ pub use tenant::TenantSummary;
 pub fn one_shot_profile(trace: impl Read) -> Result<(ProfileReport, u64), ServeError> {
     let mut reader = WireReader::new(trace)?.strict();
     let mut profiler = TrmsProfiler::new();
-    let events = profiler.consume_stream(&mut reader)?;
+    let events = aprof_trace::replay(&mut profiler, &mut reader)?;
     if reader.index().is_none() {
         return Err(ServeError::Wire(WireError::UnexpectedEof {
             context: "stream ended without a validated index",

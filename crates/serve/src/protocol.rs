@@ -89,14 +89,31 @@ impl Write for Conn {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Request {
     Submit { tenant: String, stream: String },
+    Shutdown { now: bool },
+    /// A read-only query, answered in the framing it was asked in.
+    Query(Query, Framing),
+}
+
+/// A read-only request. `GET /healthz`, `/tenants`, `/profile/<tenant>`,
+/// `/report/<tenant>` and `/obs.json` ask what `PING`, `TENANTS`,
+/// `PROFILE`, `REPORT` and `OBS` ask.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Query {
     Ping,
     Tenants,
     Profile { tenant: String },
     Report { tenant: String },
     Obs,
-    Shutdown { now: bool },
-    /// `GET <path> ...` — answered as HTTP instead of the line protocol.
-    Http { path: String },
+    /// A `GET` path that names no query, or no valid tenant name.
+    NotFound,
+}
+
+/// How a query is answered: on the line protocol (`OK <len>` and the
+/// body, or `ERR`) or as HTTP/1.0 (`200 OK` and the body, or `404`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Framing {
+    Line,
+    Http,
 }
 
 /// Reads one LF-terminated line byte-at-a-time so no bytes beyond the line
@@ -140,18 +157,19 @@ fn require_name(words: &[&str], key: &str) -> Result<String, ServeError> {
 /// Parses one request line (already LF-stripped).
 pub(crate) fn parse_request(line: &str) -> Result<Request, ServeError> {
     let words: Vec<&str> = line.split_whitespace().collect();
+    let query = |query| Ok(Request::Query(query, Framing::Line));
     match words.as_slice() {
-        ["GET", path, ..] => Ok(Request::Http { path: (*path).to_owned() }),
+        ["GET", path, ..] => Ok(Request::Query(http_query(path), Framing::Http)),
         ["APROF/1", verb, rest @ ..] => match *verb {
             "SUBMIT" => Ok(Request::Submit {
                 tenant: require_name(rest, "tenant")?,
                 stream: require_name(rest, "stream")?,
             }),
-            "PING" => Ok(Request::Ping),
-            "TENANTS" => Ok(Request::Tenants),
-            "PROFILE" => Ok(Request::Profile { tenant: require_name(rest, "tenant")? }),
-            "REPORT" => Ok(Request::Report { tenant: require_name(rest, "tenant")? }),
-            "OBS" => Ok(Request::Obs),
+            "PING" => query(Query::Ping),
+            "TENANTS" => query(Query::Tenants),
+            "PROFILE" => query(Query::Profile { tenant: require_name(rest, "tenant")? }),
+            "REPORT" => query(Query::Report { tenant: require_name(rest, "tenant")? }),
+            "OBS" => query(Query::Obs),
             "SHUTDOWN" => match kv(rest, "mode").unwrap_or("drain") {
                 "drain" => Ok(Request::Shutdown { now: false }),
                 "now" => Ok(Request::Shutdown { now: true }),
@@ -161,6 +179,22 @@ pub(crate) fn parse_request(line: &str) -> Result<Request, ServeError> {
         },
         [] => Err(ServeError::Protocol("empty request line".into())),
         _ => Err(ServeError::Protocol("expected APROF/1 <VERB> or GET <path>".into())),
+    }
+}
+
+/// The query a `GET` path asks. Tenant names are checked as `APROF/1`
+/// checks them.
+fn http_query(path: &str) -> Query {
+    let tenant = |prefix| path.strip_prefix(prefix).filter(|t| crate::valid_name(t)).map(str::to_owned);
+    match path {
+        "/healthz" => Query::Ping,
+        "/tenants" => Query::Tenants,
+        "/obs.json" => Query::Obs,
+        _ => match (tenant("/profile/"), tenant("/report/")) {
+            (Some(tenant), _) => Query::Profile { tenant },
+            (_, Some(tenant)) => Query::Report { tenant },
+            _ => Query::NotFound,
+        },
     }
 }
 
@@ -197,10 +231,10 @@ mod tests {
             parse_request("APROF/1 SUBMIT tenant=web stream=t-1").unwrap(),
             Request::Submit { tenant: "web".into(), stream: "t-1".into() }
         );
-        assert_eq!(parse_request("APROF/1 PING").unwrap(), Request::Ping);
+        assert_eq!(parse_request("APROF/1 PING").unwrap(), Request::Query(Query::Ping, Framing::Line));
         assert_eq!(
             parse_request("APROF/1 PROFILE tenant=web").unwrap(),
-            Request::Profile { tenant: "web".into() }
+            Request::Query(Query::Profile { tenant: "web".into() }, Framing::Line)
         );
         assert_eq!(
             parse_request("APROF/1 SHUTDOWN mode=now").unwrap(),
@@ -210,9 +244,10 @@ mod tests {
             parse_request("APROF/1 SHUTDOWN").unwrap(),
             Request::Shutdown { now: false }
         );
+        assert_eq!(parse_request("GET /obs.json HTTP/1.1").unwrap(), Request::Query(Query::Obs, Framing::Http));
         assert_eq!(
-            parse_request("GET /obs.json HTTP/1.1").unwrap(),
-            Request::Http { path: "/obs.json".into() }
+            parse_request("GET /profile/..%2fx HTTP/1.1").unwrap(),
+            Request::Query(Query::NotFound, Framing::Http)
         );
     }
 

@@ -1,6 +1,6 @@
 //! The daemon: listeners, connection workers, ingest, drain.
 
-use crate::protocol::{self, Conn, Request};
+use crate::protocol::{self, Conn, Framing, Query, Request};
 use crate::spool::{bytes_to_cells, name_ordinal, Spool};
 use crate::supervisor::{Backoff, BreakerBank, Outcome};
 use crate::tenant::{Admission, Registry};
@@ -394,39 +394,53 @@ fn handle_conn(shared: &Shared, mut conn: Conn, ordinal: u64) {
         Request::Submit { tenant, stream } => {
             handle_submit(shared, conn, &tenant, &stream, ordinal);
         }
-        Request::Ping => {
-            let _ = writeln!(conn, "OK pong");
-        }
-        Request::Tenants => {
-            let _ = protocol::write_body(&mut conn, &tenants_text(shared));
-        }
-        Request::Profile { tenant } => match shared.registry.aggregate(&tenant) {
-            Some(report) => {
-                let _ = protocol::write_body(&mut conn, &report.to_canonical_text());
-            }
-            None => {
-                let _ = writeln!(conn, "ERR unknown tenant {tenant:?}");
-            }
-        },
-        Request::Report { tenant } => match shared.registry.aggregate(&tenant) {
-            Some(report) => {
-                let _ = protocol::write_body(&mut conn, &html_report(&tenant, &report));
-            }
-            None => {
-                let _ = writeln!(conn, "ERR unknown tenant {tenant:?}");
-            }
-        },
-        Request::Obs => {
-            let _ = protocol::write_body(&mut conn, &aprof_obs::snapshot().to_json());
-        }
         Request::Shutdown { now } => {
             // Reply first: an immediate stop lets `wait` return, and the
             // daemon exit, as soon as the listeners are woken.
             let _ = writeln!(conn, "OK {}", if now { "stopping" } else { "draining" });
             shared.request_shutdown(now);
         }
-        Request::Http { path } => handle_http(shared, conn, &path),
+        Request::Query(query, framing) => answer(shared, conn, &query, framing),
     }
+}
+
+/// Answers a query in the framing it was asked in: [`render`] builds the
+/// reply, and only the writers differ.
+fn answer(shared: &Shared, mut conn: Conn, query: &Query, framing: Framing) {
+    let _ = match framing {
+        Framing::Line if *query == Query::Ping => writeln!(conn, "OK pong"),
+        Framing::Line => match render(shared, query) {
+            Ok((_, body)) => protocol::write_body(&mut conn, &body),
+            Err(reason) => writeln!(conn, "ERR {reason}"),
+        },
+        Framing::Http => {
+            // Politely consume the request headers before answering.
+            for _ in 0..64 {
+                if !matches!(protocol::read_line(&mut conn), Ok(line) if !line.is_empty()) {
+                    break;
+                }
+            }
+            match render(shared, query) {
+                Ok((content_type, body)) => protocol::write_http(&mut conn, "200 OK", content_type, &body),
+                Err(_) => protocol::write_http(&mut conn, "404 Not Found", "text/plain", "not found\n"),
+            }
+        }
+    };
+}
+
+/// A query's body and its HTTP content type, or why there is none: a
+/// tenant with no committed stream, or a path that names no query.
+fn render(shared: &Shared, query: &Query) -> Result<(&'static str, String), String> {
+    let aggregate =
+        |tenant: &str| shared.registry.aggregate(tenant).ok_or_else(|| format!("unknown tenant {tenant:?}"));
+    Ok(match query {
+        Query::Ping => ("text/plain", "ok\n".to_owned()),
+        Query::Tenants => ("text/plain", tenants_text(shared)),
+        Query::Profile { tenant } => ("text/plain", aggregate(tenant)?.to_canonical_text()),
+        Query::Report { tenant } => ("text/html", html_report(tenant, &*aggregate(tenant)?)),
+        Query::Obs => ("application/json", aprof_obs::snapshot().to_json()),
+        Query::NotFound => return Err("not found".to_owned()),
+    })
 }
 
 fn tenants_text(shared: &Shared) -> String {
@@ -447,65 +461,6 @@ fn html_report(tenant: &str, report: &ProfileReport) -> String {
     // Tenant profiles aggregate wire streams with no guest program in
     // hand, so the static-bound column stays empty.
     render_report(&ReportInputs { report, title: &title, obs: Some(&snap), top: 8, bounds: None })
-}
-
-fn handle_http(shared: &Shared, mut conn: Conn, path: &str) {
-    // Politely consume the request headers before answering.
-    for _ in 0..64 {
-        match protocol::read_line(&mut conn) {
-            Ok(line) if line.is_empty() => break,
-            Ok(_) => {}
-            Err(_) => break,
-        }
-    }
-    let not_found = |mut conn: Conn| {
-        let _ = protocol::write_http(&mut conn, "404 Not Found", "text/plain", "not found\n");
-    };
-    match path {
-        "/healthz" => {
-            let _ = protocol::write_http(&mut conn, "200 OK", "text/plain", "ok\n");
-        }
-        "/obs.json" => {
-            let _ = protocol::write_http(
-                &mut conn,
-                "200 OK",
-                "application/json",
-                &aprof_obs::snapshot().to_json(),
-            );
-        }
-        "/tenants" => {
-            let _ = protocol::write_http(&mut conn, "200 OK", "text/plain", &tenants_text(shared));
-        }
-        _ => {
-            if let Some(tenant) = path.strip_prefix("/profile/") {
-                match shared.registry.aggregate(tenant) {
-                    Some(report) => {
-                        let _ = protocol::write_http(
-                            &mut conn,
-                            "200 OK",
-                            "text/plain",
-                            &report.to_canonical_text(),
-                        );
-                    }
-                    None => not_found(conn),
-                }
-            } else if let Some(tenant) = path.strip_prefix("/report/") {
-                match shared.registry.aggregate(tenant) {
-                    Some(report) => {
-                        let _ = protocol::write_http(
-                            &mut conn,
-                            "200 OK",
-                            "text/html",
-                            &html_report(tenant, &report),
-                        );
-                    }
-                    None => not_found(conn),
-                }
-            } else {
-                not_found(conn);
-            }
-        }
-    }
 }
 
 /// A `Read` adapter that copies every byte it yields into the spool sink —
@@ -759,7 +714,7 @@ fn ingest(
     let (events, chunks, names) = {
         let reader = WireReader::new(BufReader::with_capacity(SOCKET_BUF, &mut tee))?.strict();
         let mut metered = Metered { reader, budget: events_budget, seen: 0 };
-        let events = profiler.consume_stream(&mut metered)?;
+        let events = aprof_trace::replay(&mut profiler, &mut metered)?;
         if metered.reader.index().is_none() {
             return Err(ServeError::Wire(WireError::UnexpectedEof {
                 context: "stream ended without a validated index",

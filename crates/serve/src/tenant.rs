@@ -144,12 +144,21 @@ impl Registry {
     }
 
     /// Reserves a validated stream's events and spool cells before its
-    /// durable rename, enforcing the spool-cells quota. A failed rename
-    /// hands the reservation back with [`Registry::unreserve`]; a
+    /// durable rename, enforcing both quotas. Streams admitted together
+    /// each got the whole budget left at admission, so the event budget is
+    /// checked again here, against every reservation so far. A failed
+    /// rename hands the reservation back with [`Registry::unreserve`]; a
     /// successful one is followed by [`Registry::commit`].
     pub(crate) fn reserve(&self, tenant: &str, events: u64, cells: u64) -> Result<(), ServeError> {
         let mut inner = self.lock();
         let state = inner.entry(tenant.to_owned()).or_default();
+        if state.events_total.saturating_add(events) > self.quota.max_instructions {
+            counters::SERVE_QUOTA_TRIPS.incr();
+            return Err(ServeError::Quota(format!(
+                "tenant {tenant} would exceed its event budget ({})",
+                self.quota.max_instructions
+            )));
+        }
         if state.spooled_cells.saturating_add(cells) > self.quota.max_alloc_cells {
             counters::SERVE_QUOTA_TRIPS.incr();
             return Err(ServeError::Quota(format!(
@@ -300,5 +309,25 @@ mod tests {
         });
         let web = &registry.summaries()[0];
         assert_eq!((web.streams, web.events, web.spooled_cells), (0, 0, 0));
+    }
+
+    #[test]
+    fn streams_admitted_together_cannot_overrun_the_event_quota() {
+        let mut cfg = ServeConfig::new("unused-spool");
+        cfg.quota.max_instructions = 100;
+        let registry = Registry::new(&cfg);
+        let Ok(Admission::Slot(first)) = registry.admit("web", "s-1") else {
+            panic!("the first submission must get a slot");
+        };
+        let Ok(Admission::Slot(second)) = registry.admit("web", "s-2") else {
+            panic!("the second submission must get a slot");
+        };
+        // Each admission saw the whole budget, so each stream may decode
+        // 80 events; only one of them fits.
+        assert_eq!((first.events_budget(), second.events_budget()), (100, 100));
+        registry.reserve("web", 80, 1).unwrap();
+        assert!(matches!(registry.reserve("web", 80, 1), Err(ServeError::Quota(_))));
+        let web = &registry.summaries()[0];
+        assert!(web.events <= 100, "the tenant holds {} of 100 events", web.events);
     }
 }

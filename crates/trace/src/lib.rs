@@ -18,9 +18,9 @@
 //!   An event's position in the trace is its time; no event carries a
 //!   timestamp. A trace is [replayed](Trace::replay) into any `Tool`.
 //! * [`replay`] — the replay of an event stream that is not in memory (a
-//!   wire trace being decoded, or any other fallible source), in batches
-//!   through [`Tool::on_batch`]. [`Trace::replay_batched`] runs it over
-//!   an in-memory trace, so a tool cannot tell the two apart.
+//!   wire trace being decoded, or any other fallible source). Like
+//!   [`Trace::replay`] and the guest machine, it hands each event to
+//!   [`Tool::dispatch`] as it arrives, so a tool cannot tell them apart.
 //!
 //! # Example
 //!

@@ -2,7 +2,6 @@
 
 use crate::{Event, EventKind, ThreadId, TimedEvent, Tool};
 use std::collections::BTreeMap;
-use std::convert::Infallible;
 
 /// A totally-ordered execution trace covering all threads.
 ///
@@ -49,23 +48,12 @@ impl Trace {
         tool.finish();
     }
 
-    /// Replays the trace in fixed-size batches via [`Tool::on_batch`],
-    /// then calls [`Tool::finish`].
+    /// The same as [`replay`](Trace::replay); `_chunk_size` is ignored.
     ///
-    /// Equivalent to [`replay`](Trace::replay) for every tool whose
-    /// `on_batch` override preserves sequential semantics (the default
-    /// does). Batches are `chunk_size` events, except that a batch is
-    /// extended so it never ends on a [`Event::ThreadSwitch`]: a switch is
-    /// always delivered in the same batch as the first operation of the
-    /// thread switched to, letting overrides detect same-thread runs
-    /// without carrying switch state across batch boundaries.
-    ///
-    /// A `chunk_size` of 0 is treated as 1. This is [`replay`](crate::replay)
-    /// over the trace's events, so the batches are the ones any stream of
-    /// the same events gets.
-    pub fn replay_batched<T: Tool + ?Sized>(&self, tool: &mut T, chunk_size: usize) {
-        let Ok(_) =
-            replay(tool, self.events.iter().map(|te| Ok::<_, Infallible>((te.thread, te.event))), chunk_size);
+    /// Kept only because `aprof-benchmark` times replay under this name.
+    /// It goes when the benchmark calls [`replay`](Trace::replay).
+    pub fn replay_batched<T: Tool + ?Sized>(&self, tool: &mut T, _chunk_size: usize) {
+        self.replay(tool);
     }
 
     /// Computes summary statistics over this trace.
@@ -94,43 +82,32 @@ impl Extend<(ThreadId, Event)> for Trace {
     }
 }
 
-/// Replays `(thread, event)` pairs from a fallible source into `tool` in
-/// batches via [`Tool::on_batch`], then calls [`Tool::finish`]. Returns the
-/// number of events dispatched.
+/// Replays `(thread, event)` pairs from a fallible source into `tool`, one
+/// [`Tool::dispatch`] per event as it arrives, then calls [`Tool::finish`].
+/// Returns the number of events dispatched.
 ///
 /// This is the entry point for any event stream that does not sit in
 /// memory: a decoding iterator over an on-disk or socket wire trace, or any
-/// other source that can fail; [`Trace::replay_batched`] runs it over an
-/// in-memory trace. Memory use is bounded by one batch, independent of
-/// stream length. Batches are `chunk_size` events (0 is treated as 1),
-/// extended so they never end on an [`Event::ThreadSwitch`] — a switch is
-/// always delivered in the same batch as the first operation of the thread
-/// switched to.
+/// other source that can fail. It holds no event but the one it hands on,
+/// so memory use does not grow with the stream. A tool sees exactly the
+/// callbacks of [`Trace::replay`] over the same events, which are the ones
+/// the guest machine issued.
 ///
 /// # Errors
 ///
-/// Stops at the first source error and returns it; events already
-/// buffered for the current batch are dropped and [`Tool::finish`] is
-/// *not* called, since the partial profile would be wrong.
-pub fn replay<T, E, I>(tool: &mut T, events: I, chunk_size: usize) -> Result<u64, E>
+/// Stops at the first source error and returns it. The events before the
+/// error have been dispatched; [`Tool::finish`] is *not* called, since the
+/// partial profile would be wrong.
+pub fn replay<T, E, I>(tool: &mut T, events: I) -> Result<u64, E>
 where
     T: Tool + ?Sized,
     I: IntoIterator<Item = Result<(ThreadId, Event), E>>,
 {
-    let chunk_size = chunk_size.max(1);
     let mut dispatched = 0u64;
-    let mut batch: Vec<TimedEvent> = Vec::with_capacity(chunk_size.min(1 << 16) + 8);
     for item in events {
         let (thread, event) = item?;
+        tool.dispatch(thread, event);
         dispatched += 1;
-        batch.push(TimedEvent { thread, event });
-        if batch.len() >= chunk_size && event.kind() != EventKind::ThreadSwitch {
-            tool.on_batch(&batch);
-            batch.clear();
-        }
-    }
-    if !batch.is_empty() {
-        tool.on_batch(&batch);
     }
     tool.finish();
     Ok(dispatched)
@@ -188,25 +165,22 @@ mod tests {
         assert_eq!(t.len(), 2);
     }
 
-    /// Records every batch a replay delivers, the callbacks it implies, and
-    /// whether `finish` ran.
+    /// Records the callbacks a replay delivers and how often `finish` ran.
     #[derive(Default)]
-    struct BatchLog {
-        batches: Vec<Vec<TimedEvent>>,
+    struct Log {
         calls: crate::RecordingTool,
-        finished: bool,
+        finished: u32,
     }
 
-    impl Tool for BatchLog {
+    impl Tool for Log {
         fn name(&self) -> &'static str {
-            "batch-log"
+            "log"
         }
-        fn on_batch(&mut self, events: &[TimedEvent]) {
-            self.batches.push(events.to_vec());
-            self.calls.on_batch(events);
+        fn dispatch(&mut self, thread: ThreadId, event: Event) {
+            self.calls.dispatch(thread, event);
         }
         fn finish(&mut self) {
-            self.finished = true;
+            self.finished += 1;
         }
     }
 
@@ -231,69 +205,34 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        // `replay` is the one body of the batch rule; `on_batch` overrides
-        // see its batches, so the cut points are pinned, not just the
-        // callbacks they imply.
+        // `replay` hands each event on as it arrives: a clean stream gets
+        // the callbacks of `Trace::replay` and one `finish`; an error at
+        // position p gets the first p events and no `finish`.
         #[test]
-        fn replay_cuts_batches_by_the_batch_rule(
+        fn replay_dispatches_each_event_then_finishes(
             events in switchy_events(),
-            chunk in 0usize..64,
             fail_at in prop::option::of(0usize..200),
         ) {
             let trace: Trace = events.iter().copied().collect();
             let mut sequential = crate::RecordingTool::new();
             trace.replay(&mut sequential);
-            let mut whole = BatchLog::default();
-            trace.replay_batched(&mut whole, chunk);
-
-            prop_assert_eq!(whole.batches.concat(), trace.events());
-            prop_assert_eq!(whole.calls.trace(), sequential.trace());
-            prop_assert!(whole.finished);
-            // A batch ends at its first event that makes it `chunk` long and
-            // is not a switch; only the last batch may be short or end on one.
-            let min = chunk.max(1);
-            if let Some((last, rest)) = whole.batches.split_last() {
-                prop_assert!(!last.is_empty());
-                for batch in &whole.batches {
-                    for te in batch.iter().take(batch.len().saturating_sub(1)).skip(min - 1) {
-                        prop_assert_eq!(te.event.kind(), EventKind::ThreadSwitch, "{:?}", batch);
-                    }
-                }
-                for batch in rest {
-                    prop_assert!(batch.len() >= min, "short batch {:?}", batch);
-                    let ends = batch.last().map(|te| te.event.kind());
-                    prop_assert!(ends != Some(EventKind::ThreadSwitch), "{:?}", batch);
-                }
-            }
 
             let source = events
                 .iter()
                 .enumerate()
                 .map(|(i, &pair)| if Some(i) == fail_at { Err(i) } else { Ok(pair) });
-            let mut stream = BatchLog::default();
-            let result = replay(&mut stream, source, chunk);
+            let mut stream = Log::default();
+            let result = replay(&mut stream, source);
             match fail_at.filter(|&p| p < events.len()) {
                 None => {
                     prop_assert_eq!(result, Ok(events.len() as u64));
-                    prop_assert_eq!(&stream.batches, &whole.batches);
-                    prop_assert!(stream.finished);
+                    prop_assert_eq!(stream.calls.trace(), sequential.trace());
+                    prop_assert_eq!(stream.finished, 1);
                 }
                 Some(p) => {
-                    // The batches completed before the error are delivered;
-                    // the partial one is dropped and `finish` never runs.
                     prop_assert_eq!(result, Err(p));
-                    let mut end = 0;
-                    let complete: Vec<_> = whole
-                        .batches
-                        .iter()
-                        .take_while(|b| {
-                            end += b.len();
-                            end <= p
-                        })
-                        .cloned()
-                        .collect();
-                    prop_assert_eq!(&stream.batches, &complete);
-                    prop_assert!(!stream.finished, "finish ran after a source error");
+                    prop_assert_eq!(stream.calls.trace(), &sequential.trace()[..p]);
+                    prop_assert_eq!(stream.finished, 0, "finish ran after a source error");
                 }
             }
         }

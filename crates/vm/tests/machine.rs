@@ -601,7 +601,7 @@ fn recording_run_replays_to_an_identical_profile() {
     let mut reader = WireReader::new(&bytes[..]).unwrap();
     assert_eq!(reader.routines().len(), names.len());
     let mut replayed = TrmsProfiler::new();
-    replayed.consume_stream(&mut reader).unwrap();
+    aprof_trace::replay(&mut replayed, &mut reader).unwrap();
     let mut live2 = TrmsProfiler::new();
     let mut m = Machine::new(locked_adders(4));
     m.run_with(&mut live2).unwrap();

@@ -4,7 +4,7 @@
 //! by an in-memory `Trace::replay` — across chunk sizes from "one event
 //! per chunk" to "everything in one chunk".
 
-use aprof_core::{RmsProfiler, TrmsProfiler, DEFAULT_STREAM_BATCH};
+use aprof_core::{RmsProfiler, TrmsProfiler};
 use aprof_trace::{replay, textio, Addr, Event, RoutineId, RoutineTable, ThreadId, Trace};
 use aprof_wire::{WireOptions, WireReader, WireWriter};
 use proptest::prelude::*;
@@ -150,14 +150,14 @@ proptest! {
             let mut reader = WireReader::new(&bytes[..]).unwrap();
             prop_assert_eq!(reader.routines().len(), names.len());
             let mut trms = TrmsProfiler::new();
-            trms.consume_stream(&mut reader).unwrap();
+            replay(&mut trms, &mut reader).unwrap();
             prop_assert_eq!(
                 &trms.into_report(&names), &trms_expected,
                 "trms, chunk_bytes {}", chunk_bytes
             );
 
             let mut rms = RmsProfiler::new();
-            replay(&mut rms, WireReader::new(&bytes[..]).unwrap(), DEFAULT_STREAM_BATCH).unwrap();
+            replay(&mut rms, WireReader::new(&bytes[..]).unwrap()).unwrap();
             prop_assert_eq!(
                 &rms.into_report(&names), &rms_expected,
                 "rms, chunk_bytes {}", chunk_bytes

@@ -191,7 +191,7 @@ fn arbitrary_garbage_never_panics() {
 
 #[test]
 fn profiles_from_damaged_files_are_never_silently_wrong() {
-    use aprof_core::{RmsProfiler, DEFAULT_STREAM_BATCH};
+    use aprof_core::RmsProfiler;
     use aprof_trace::replay;
 
     let pristine = sample_file();
@@ -202,7 +202,7 @@ fn profiles_from_damaged_files_are_never_silently_wrong() {
         names
     };
     let mut reference = RmsProfiler::new();
-    replay(&mut reference, WireReader::new(&pristine[..]).unwrap(), DEFAULT_STREAM_BATCH).unwrap();
+    replay(&mut reference, WireReader::new(&pristine[..]).unwrap()).unwrap();
     let reference = reference.into_report(&names);
 
     let mut mismatches_without_evidence = 0;
@@ -214,7 +214,7 @@ fn profiles_from_damaged_files_are_never_silently_wrong() {
             Err(_) => continue, // typed rejection: fine
         };
         let mut profiler = RmsProfiler::new();
-        if replay(&mut profiler, &mut reader, DEFAULT_STREAM_BATCH).is_err() {
+        if replay(&mut profiler, &mut reader).is_err() {
             continue; // typed rejection: fine
         }
         let evidence = !reader.skipped().is_empty();

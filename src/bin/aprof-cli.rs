@@ -32,7 +32,7 @@ use aprof::analysis::render::{render_plot, Table};
 use aprof::analysis::{fit_best, CostPlot, Metric, PlotKind, ReportInputs};
 use aprof::core::{InputPolicy, ProfileReport, TrmsProfiler};
 use aprof::tools::{CallgrindTool, HelgrindTool, MemcheckTool};
-use aprof::trace::{textio, EventKind, RecordingTool, RoutineTable, Trace};
+use aprof::trace::{replay, textio, EventKind, RecordingTool, RoutineTable, Trace};
 use aprof::faults::FaultConfig;
 use aprof::serve::{
     client as serve_client, BreakerConfig, RetryPolicy, ServeConfig, ServeError, Server, Target,
@@ -168,10 +168,9 @@ commands:
                                bound` lines suit golden-file diffs
   fuzz [opts]                  generate a seeded corpus of guest programs
                                and run every one through the differential
-                               oracles (naive-vs-engine, batched replay,
-                               wire round-trip, static-vs-dynamic,
-                               bound-vs-fit); failures are shrunk to a
-                               minimal program
+                               oracles (naive-vs-engine, wire round-trip,
+                               static-vs-dynamic, bound-vs-fit); failures
+                               are shrunk to a minimal program
   serve --spool DIR [opts]     run the multi-tenant profiling service
                                daemon: concurrent wire-trace submissions
                                over unix/tcp sockets, per-tenant
@@ -1108,7 +1107,7 @@ fn profile_trace_file(path: &str, opts: &Opts) -> Result<(TrmsProfiler, Option<R
     if opts.strict {
         reader = reader.strict();
     }
-    profiler.consume_stream(&mut reader).map_err(|e| format!("{path}: {e}"))?;
+    replay(&mut profiler, &mut reader).map_err(|e| format!("{path}: {e}"))?;
     for skipped in reader.skipped() {
         eprintln!("warning: {path}: skipped corrupt {skipped}");
     }

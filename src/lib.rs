@@ -10,7 +10,7 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`trace`] — events, ids, traces, and the [`trace::Tool`] callback trait.
-//! * [`shadow`] — three-level shadow memories.
+//! * [`shadow`] — arena-paged shadow memories.
 //! * [`core`] — the rms/trms profilers (the paper's contribution).
 //! * [`vm`] — the instrumented guest machine (the Valgrind substitute).
 //! * [`tools`] — comparator analysis tools (nulgrind/memcheck/callgrind/helgrind analogs).
@@ -25,7 +25,7 @@
 //!   static-vs-dynamic growth differential.
 //! * [`obs`] — profiler self-metrics: counters, tracing spans, `obs.json`.
 //! * [`faults`] — seeded, replayable fault injection for robustness tests.
-//! * [`corpus`] — the fuzzed CFG corpus: seeded program generation, five
+//! * [`corpus`] — the fuzzed CFG corpus: seeded program generation, four
 //!   differential oracles, and shrinking of failures to minimal programs.
 //! * [`serve`] — the multi-tenant streaming profiling service daemon
 //!   (`aprof-cli serve` / `submit`).

@@ -3,8 +3,10 @@
 
 use aprof::analysis::{fit_best, CostPlot, Metric, PlotKind};
 use aprof::core::{NaiveProfiler, TrmsProfiler};
+use aprof::serve::one_shot_profile;
 use aprof::tools::{CallgrindTool, HelgrindTool};
 use aprof::trace::{Event, RecordingTool, Tool, Trace};
+use aprof::wire::{WireOptions, WireWriter};
 use aprof::workloads::{all, by_name, WorkloadParams};
 
 fn record(name: &str, params: &WorkloadParams) -> (aprof::trace::RoutineTable, Trace) {
@@ -20,23 +22,35 @@ fn record(name: &str, params: &WorkloadParams) -> (aprof::trace::RoutineTable, T
     (names, trace)
 }
 
-/// Replaying a recorded trace gives the same profile as live execution —
-/// the trace model and the live event stream agree.
+/// Replaying a run gives the profile its live run gave, on every workload:
+/// a `RecordingTool` capture through `Trace::replay`, and the wire bytes of
+/// the same run through the stream path the daemon profiles with.
 #[test]
 fn live_and_replayed_profiles_agree() {
-    let params = WorkloadParams::new(48, 3);
-    let wl = by_name("dedup").unwrap();
-    let mut machine = wl.build(&params);
-    let names = machine.program().routines().clone();
-    let mut live = TrmsProfiler::builder().log_activations(true).build();
-    machine.run_with(&mut live).unwrap();
+    for wl in all() {
+        for threads in [1, 3] {
+            let params = WorkloadParams::new(24, threads);
+            let mut machine = wl.build(&params);
+            let names = machine.program().routines().clone();
+            let mut live = TrmsProfiler::new();
+            machine.run_with(&mut live).unwrap();
+            let live = live.into_report(&names).to_canonical_text();
 
-    let (_names2, trace) = record("dedup", &params);
-    let mut replayed = TrmsProfiler::builder().log_activations(true).build();
-    trace.replay(&mut replayed);
+            let mut rec = RecordingTool::new();
+            let options = WireOptions { chunk_bytes: 256, ..WireOptions::default() };
+            let mut writer = WireWriter::create(Vec::new(), &names, options).unwrap();
+            wl.build(&params).run_recording(&mut rec, &mut writer).unwrap();
+            let (bytes, _) = writer.finish().unwrap();
 
-    assert_eq!(live.activations(), replayed.activations());
-    let _ = names;
+            let run = format!("{} with {threads} threads", wl.name);
+            let trace: Trace = rec.trace().iter().map(|te| (te.thread, te.event)).collect();
+            let mut replayed = TrmsProfiler::new();
+            trace.replay(&mut replayed);
+            assert_eq!(replayed.into_report(&names).to_canonical_text(), live, "{run}: Trace::replay");
+            let (streamed, _) = one_shot_profile(&bytes[..]).unwrap();
+            assert_eq!(streamed.to_canonical_text(), live, "{run}: one_shot_profile");
+        }
+    }
 }
 
 /// The timestamping engine agrees with the naive Fig. 10 oracle on real
